@@ -194,9 +194,12 @@ class OracleRepairer:
                 report.rounds += 1
                 report.violations_found += len(violations)
                 self._resolve(violations, report, cost_before, start)
-            report.consistent = not find_violations(
-                self.database, self.constraints, backend=self.backend
-            )
+            else:
+                # rounds ran out: only the last round's edits are unchecked
+                # (a round that found nothing left the report consistent)
+                report.consistent = not find_violations(
+                    self.database, self.constraints, backend=self.backend
+                )
         report.questions_asked = self.oracle.log.question_count - questions_before
         report.cost = self.oracle.log.total_cost - cost_before
         report.wall_clock = time.perf_counter() - start
@@ -371,10 +374,12 @@ class ExhaustiveRepairer:
                 # the oracle certified every involved fact: the violation
                 # cannot be repaired by deletion alone — give up cleanly
                 report.converged = False
+                report.consistent = False
                 break
-        report.consistent = not find_violations(
-            self.database, self.constraints, backend=self.backend
-        )
+        else:
+            report.consistent = not find_violations(
+                self.database, self.constraints, backend=self.backend
+            )
         report.questions_asked = self.oracle.log.question_count - questions_before
         report.cost = self.oracle.log.total_cost - cost_before
         report.wall_clock = time.perf_counter() - start
@@ -437,7 +442,8 @@ class GreedyRepairStrategy:
             for edit in greedy_repair(violations).edits:
                 if edit.apply(database):
                     report.edits.append(edit)
-        report.consistent = not find_violations(database, constraints, backend=backend)
+        else:
+            report.consistent = not find_violations(database, constraints, backend=backend)
         return report
 
 

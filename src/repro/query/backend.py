@@ -265,6 +265,9 @@ class BackendEvaluator:
     def answers(self) -> set[Answer]:
         return self.backend.evaluate(self.query, self.database)
 
+    def run(self) -> EvalResult:
+        return self.backend.run(self.query, self.database)
+
     def is_satisfiable(self, partial: Mapping[Var, Constant]) -> bool:
         return self.backend.is_satisfiable(self.query, self.database, partial)
 

@@ -46,6 +46,7 @@ from ..db.edits import Edit, EditKind
 from ..db.tuples import Constant, Fact
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .ast import Atom, Query, Var
+from .backend import BackendEvaluator, EvalResult
 from .evaluator import (
     Answer,
     Assignment,
@@ -219,12 +220,21 @@ class IncrementalAnswers(DatabaseListener):
     # maintenance
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Full recomputation (construction, fallback, manual resync)."""
+        """Full recomputation (construction, fallback, manual resync).
+
+        One :class:`~repro.query.backend.EvalResult` fills both counters:
+        a backend evaluator's ``run()`` (the columnar engine decodes it
+        from row provenance), or the fold of the reference evaluator's
+        assignments.
+        """
         _TELEMETRY.count("incremental.full_recompute")
-        self._support = Counter()
-        self._witness_support = {}
-        for assignment in self._evaluator.assignments():
-            self._admit(assignment)
+        evaluator = self._evaluator
+        if isinstance(evaluator, BackendEvaluator):
+            result = evaluator.run()
+        else:
+            result = EvalResult.from_assignments(self.query, evaluator.assignments())
+        self._support = result.support
+        self._witness_support = result.witness_support
         self._version = self.database.version
         self._pending = []
 

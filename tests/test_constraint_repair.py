@@ -35,10 +35,11 @@ from repro.constraints.repair import RepairError, inferable_deletions, update_ca
 from repro.core.registry import REGISTRY
 from repro.db.database import Database
 from repro.db.schema import RelationSchema, Schema
-from repro.db.tuples import Fact, fact
+from repro.db.tuples import fact
 from repro.oracle.base import AccountingOracle
 from repro.oracle.perfect import PerfectOracle
 from repro.query.ast import Atom, Var
+from repro.telemetry import telemetry_session
 
 
 def games_schema() -> Schema:
@@ -313,6 +314,46 @@ class TestRepairStrategies:
         report = repro.api.repair(dirty, FDSPEC, PerfectOracle(truth))
         assert report.consistent
         assert dirty == truth
+
+
+class TestFinalDetection:
+    """Detection re-runs after the loop only when ``max_rounds`` ran out:
+    a round that found no violation already showed consistency."""
+
+    @staticmethod
+    def _detections(run):
+        with telemetry_session() as (hub, _):
+            report = run()
+            return report, hub.counter("constraints.checks")
+
+    @pytest.mark.parametrize("strategy", ["oracle", "exhaustive", "greedy"])
+    def test_converged_loop_does_not_redetect(self, strategy):
+        truth, dirty = dirty_pair_db()
+        report, detections = self._detections(
+            lambda: repair(dirty, FDSPEC, PerfectOracle(truth), strategy=strategy)
+        )
+        assert report.consistent and report.rounds == 1
+        assert detections == 2  # the repairing round, then the clean one
+
+    @pytest.mark.parametrize("strategy", ["oracle", "exhaustive", "greedy"])
+    def test_exhausted_rounds_redetect(self, strategy):
+        truth, dirty = dirty_pair_db()
+        report, detections = self._detections(
+            lambda: repair(
+                dirty, FDSPEC, PerfectOracle(truth), strategy=strategy, max_rounds=1
+            )
+        )
+        assert report.consistent and report.rounds == 1
+        assert detections == 2  # the repairing round, then the final check
+
+    def test_exhaustive_give_up_is_inconsistent(self):
+        _, dirty = dirty_pair_db()
+        # an oracle that certifies every fact leaves nothing to delete
+        report, detections = self._detections(
+            lambda: ExhaustiveRepairer(dirty, PerfectOracle(copy.deepcopy(dirty)), FDSPEC).run()
+        )
+        assert not report.consistent and not report.converged
+        assert detections == 1
 
 
 class TestReportShape:
