@@ -158,7 +158,7 @@ def test_ablation_candidate_cap(benchmark, worldcup_gt):
                 errors,
                 "Provenance",
                 seed=1,
-                insertion_config=InsertionConfig(max_candidates_per_subquery=cap),
+                insertion=InsertionConfig(max_candidates_per_subquery=cap),
             )
             result[cap] = bar.questions
         return result

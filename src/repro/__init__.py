@@ -18,13 +18,10 @@ Quickstart — the stable facade is :mod:`repro.api`::
     print(report.summary())
 """
 
-import warnings as _warnings
-
 from . import api
 from .core import (
     QOCO,
     REGISTRY,
-    CleaningReport,
     DeletionError,
     InsertionError,
     MinCutSplit,
@@ -126,7 +123,6 @@ __all__ = [
     "CapacityScheduler",
     "Chao92Estimator",
     "CostModel",
-    "CleaningReport",
     "CleaningSession",
     "Crowd",
     "Database",
@@ -207,22 +203,3 @@ __all__ = [
     "witnesses_for",
     "worldcup_database",
 ]
-
-#: renamed/moved names served with a DeprecationWarning instead of breaking
-_DEPRECATED = {
-    "UnionQOCO": ("UCQCleaner", lambda: __import__(
-        "repro.core.ucq", fromlist=["UnionQOCO"]).UnionQOCO),
-    "ParallelReport": ("Report", lambda: Report),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        replacement, resolve = _DEPRECATED[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated; use repro.{replacement}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return resolve()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

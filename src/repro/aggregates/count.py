@@ -23,8 +23,8 @@ from typing import Optional, Union
 
 from ..core.deletion import DeletionError, DeletionStrategy, QOCODeletion, crowd_remove_wrong_answer
 from ..core.insertion import InsertionError, crowd_add_missing_answer
-from ..core.session import CleaningReport
 from ..core.registry import REGISTRY
+from ..core.report import Report
 from ..core.split import ProvenanceSplit, SplitStrategy
 from ..db.database import Database
 from ..db.tuples import Constant
@@ -110,27 +110,7 @@ class AggregateQOCO:
         split: Optional[Union[str, SplitStrategy]] = None,
         seed: Optional[int] = None,
         max_rounds: int = 10,
-        **legacy,
     ) -> None:
-        if legacy:
-            import warnings
-
-            for name, value in legacy.items():
-                if name == "deletion_strategy":
-                    deletion = value
-                elif name == "split_strategy":
-                    split = value
-                else:
-                    raise TypeError(
-                        f"AggregateQOCO() got an unexpected keyword argument {name!r}"
-                    )
-            warnings.warn(
-                "deletion_strategy=/split_strategy= are deprecated on "
-                "AggregateQOCO; use deletion=/split= (a registry name or "
-                "a strategy instance)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.database = database
         self.oracle = (
             oracle if isinstance(oracle, AccountingOracle) else AccountingOracle(oracle)
@@ -147,11 +127,11 @@ class AggregateQOCO:
         self.max_rounds = max_rounds
 
     # ------------------------------------------------------------------
-    def clean_group(self, view: CountView, group: Group) -> CleaningReport:
+    def clean_group(self, view: CountView, group: Group) -> Report:
         """Fix one group's count (the user's target action: "this count
         looks wrong")."""
         restricted = view.restricted_base(group)
-        report = CleaningReport(query_name=f"{view.name}{group}", log=self.oracle.log)
+        report = Report(query_name=f"{view.name}{group}", log=self.oracle.log)
         for _ in range(self.max_rounds):
             changed = False
             # wrong counted tuples inflate the count
@@ -195,7 +175,7 @@ class AggregateQOCO:
                 break
         return report
 
-    def clean(self, view: CountView) -> CleaningReport:
+    def clean(self, view: CountView) -> Report:
         """Fix every group, including groups absent from the dirty view.
 
         Groups visible in the dirty view are cleaned directly; groups
@@ -203,9 +183,9 @@ class AggregateQOCO:
         ``COMPL`` on the base query (a missing group is just a missing
         base answer with a new prefix) until the probe comes back empty.
         """
-        total = CleaningReport(query_name=view.name, log=self.oracle.log)
+        total = Report(query_name=view.name, log=self.oracle.log)
 
-        def merge(report: CleaningReport) -> None:
+        def merge(report: Report) -> None:
             total.edits += report.edits
             total.iterations += report.iterations
             total.wrong_answers_removed += report.wrong_answers_removed

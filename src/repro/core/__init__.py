@@ -1,7 +1,6 @@
 """QOCO's cleaning algorithms (Algorithms 1-3) and split strategies."""
 
 from .deletion import (
-    DELETION_STRATEGIES,
     DeletionError,
     DeletionStrategy,
     QOCODeletion,
@@ -20,15 +19,13 @@ from .negation import (
 from .parallel import ParallelQOCO, RoundScheduler
 from .qoco import QOCO, QOCOConfig, resolve_config, resolve_planner
 from .registry import REGISTRY, RegistryError, StrategyRegistry, resolve_strategy
-from .report import CleaningReport, ParallelReport, Report, ReportLike
+from .report import Report, ReportLike
 from .ucq import (
     UCQCleaner,
-    UnionQOCO,
     add_missing_answer_union,
     remove_wrong_answer_union,
 )
 from .split import (
-    SPLIT_STRATEGIES,
     MinCutSplit,
     NaiveSplit,
     ProvenanceSplit,
@@ -37,7 +34,6 @@ from .split import (
 )
 
 __all__ = [
-    "CleaningReport",
     "ConstraintCleaner",
     "ConstraintRepairError",
     "RepairReport",
@@ -45,7 +41,6 @@ __all__ = [
     "TrustScoreDeletion",
     "crowd_remove_wrong_answer_composite",
     "frequency_trust",
-    "DELETION_STRATEGIES",
     "DeletionError",
     "DeletionStrategy",
     "InsertionConfig",
@@ -53,7 +48,6 @@ __all__ = [
     "MinCutSplit",
     "NaiveSplit",
     "ParallelQOCO",
-    "ParallelReport",
     "ProvenanceSplit",
     "RoundScheduler",
     "QOCO",
@@ -66,11 +60,9 @@ __all__ = [
     "RegistryError",
     "Report",
     "ReportLike",
-    "SPLIT_STRATEGIES",
     "SplitStrategy",
     "StrategyRegistry",
     "UCQCleaner",
-    "UnionQOCO",
     "resolve_config",
     "resolve_planner",
     "resolve_strategy",

@@ -29,6 +29,7 @@ from ..provenance.witness import most_frequent_fact
 from ..query.ast import Query
 from ..query.evaluator import Answer, Evaluator
 from ..telemetry import TELEMETRY as _TELEMETRY
+from .registry import REGISTRY
 
 
 class DeletionError(RuntimeError):
@@ -226,16 +227,8 @@ def _verify_everything(
     return edits
 
 
-#: Registry used by the experiment harness and the wire codec.
-DELETION_STRATEGIES: dict[str, type[DeletionStrategy]] = {
-    "QOCO": QOCODeletion,
-    "QOCO-": QOCOMinusDeletion,
-    "Random": RandomDeletion,
-}
-
-# String-name resolution (QOCOConfig(deletion="qoco"), wire configs)
-# goes through the unified strategy registry.
-from .registry import REGISTRY as _REGISTRY  # noqa: E402
-
-for _name, _cls in DELETION_STRATEGIES.items():
-    _REGISTRY.register("deletion", _name.lower(), _cls, aliases=(_name,))
+# String-name resolution (QOCOConfig(deletion="qoco"), the experiment
+# harness, wire configs) goes through the unified strategy registry.
+REGISTRY.register("deletion", "qoco", QOCODeletion)
+REGISTRY.register("deletion", "qoco-", QOCOMinusDeletion)
+REGISTRY.register("deletion", "random", RandomDeletion)

@@ -30,6 +30,7 @@ from typing import Callable, Mapping
 from ..db.tuples import Fact
 from ..hitting.hitting_set import greedy_hitting_set
 from .deletion import DeletionStrategy
+from .registry import REGISTRY
 
 #: Maps a fact to its trust in [0, 1] (lower = more suspicious).
 TrustProvider = Callable[[Fact], float]
@@ -99,11 +100,5 @@ def frequency_trust(database_counts: Mapping[Fact, int], ceiling: int = 5) -> Tr
 # Registry names: ``QOCOConfig(deletion="responsibility")`` works out of
 # the box; ``"trust"`` builds a provider-less strategy (every unknown
 # fact scores ``default_trust``) — pass an instance to supply scores.
-from .registry import REGISTRY as _REGISTRY  # noqa: E402
-
-_REGISTRY.register(
-    "deletion", "responsibility", ResponsibilityDeletion, aliases=("Responsibility",)
-)
-_REGISTRY.register(
-    "deletion", "trust", lambda: TrustScoreDeletion({}), aliases=("Trust",)
-)
+REGISTRY.register("deletion", "responsibility", ResponsibilityDeletion)
+REGISTRY.register("deletion", "trust", lambda: TrustScoreDeletion({}))

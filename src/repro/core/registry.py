@@ -1,17 +1,15 @@
 """One registry for every pluggable strategy, resolvable by name.
 
-Historically each strategy family kept its own ad-hoc dict
-(``SPLIT_STRATEGIES``, ``DELETION_STRATEGIES``, the estimator table in
-``repro.shard.wire``) and every entry point grew its own keyword for
-passing instances around.  :class:`StrategyRegistry` unifies them: a
-strategy *kind* (``"split"``, ``"deletion"``, ``"planner"``) maps names
-to factories, and :meth:`resolve` turns whatever the user supplied — a
-registry name (any case), a strategy class, an already-built instance,
-or ``None`` — into the instance the cleaning loops run.
+A strategy *kind* (``"split"``, ``"deletion"``, ``"planner"``,
+``"repair"``) maps names to factories, and :meth:`StrategyRegistry.resolve`
+turns whatever the user supplied — a registry name (any case), a
+strategy class, an already-built instance, or ``None`` — into the
+instance the cleaning loops run.  :meth:`StrategyRegistry.name_of` maps
+an instance back to its name, for the shard wire.
 
-Names resolve case-insensitively, so the historical capitalised wire
-names (``"MinCut"``, ``"QOCO-"``) and the lowercase config spellings
-(``QOCOConfig(split="mincut")``) land on the same entry.
+Names resolve case-insensitively, so the capitalised names the
+experiments print (``"MinCut"``, ``"QOCO-"``) and the lowercase config
+spellings (``QOCOConfig(split="mincut")``) land on the same entry.
 
 Strategy modules register themselves at import time; kinds whose
 modules may not be imported yet (e.g. ``repro.plan`` registering the
@@ -92,6 +90,20 @@ class StrategyRegistry:
         if isinstance(spec, type):
             return spec()
         return spec
+
+    def name_of(self, kind: str, instance: Any) -> Optional[str]:
+        """The canonical name that rebuilds *instance*, or ``None``.
+
+        Only an instance whose class is itself a registered factory maps
+        back: a name bound to any other factory (e.g. a lambda supplying
+        constructor arguments) would rebuild a different object.
+        """
+        self._ensure_kind(kind)
+        with self._lock:
+            for key, factory in self._entries.get(kind, {}).items():
+                if factory is type(instance):
+                    return self._display[kind][key]
+        return None
 
     # ------------------------------------------------------------------
     # internals

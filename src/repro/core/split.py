@@ -23,6 +23,7 @@ from ..provenance.whynot import find_picky_join
 from ..query.ast import Query
 from ..query.graph import build_query_graph
 from ..query.subquery import split_by_partition
+from .registry import REGISTRY
 
 
 class SplitStrategy(ABC):
@@ -117,17 +118,10 @@ class ProvenanceSplit(SplitStrategy):
         return [first, second]
 
 
-#: Registry used by the experiment harness and the wire codec.
-SPLIT_STRATEGIES: dict[str, type[SplitStrategy]] = {
-    "Naive": NaiveSplit,
-    "Random": RandomSplit,
-    "MinCut": MinCutSplit,
-    "Provenance": ProvenanceSplit,
-}
-
-# String-name resolution (QOCOConfig(split="mincut"), wire configs, the
-# planner's arm table) goes through the unified strategy registry.
-from .registry import REGISTRY as _REGISTRY  # noqa: E402
-
-for _name, _cls in SPLIT_STRATEGIES.items():
-    _REGISTRY.register("split", _name.lower(), _cls, aliases=(_name,))
+# String-name resolution (QOCOConfig(split="mincut"), the experiment
+# harness, wire configs, the planner's arm table) goes through the
+# unified strategy registry.
+REGISTRY.register("split", "naive", NaiveSplit)
+REGISTRY.register("split", "random", RandomSplit)
+REGISTRY.register("split", "mincut", MinCutSplit)
+REGISTRY.register("split", "provenance", ProvenanceSplit)

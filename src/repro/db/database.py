@@ -76,9 +76,10 @@ class Database:
 
     Every effective mutation bumps a monotone :attr:`version` stamp (plus
     a per-relation stamp), which lets derived state — materialized
-    answers, planner statistics — detect staleness in O(1).  Observers
-    needing the edits themselves subscribe a :class:`DatabaseListener`;
-    incremental view maintenance hangs off this hook.
+    answers, a SQL backend's synced tables — detect staleness in O(1).
+    Observers needing the edits themselves subscribe a
+    :class:`DatabaseListener`; incremental view maintenance hangs off
+    this hook.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Fact] = ()) -> None:

@@ -26,9 +26,9 @@ needs.
 Version lineage: a fork's :attr:`~Database.version` continues from the
 base's stamp at fork time and bumps per effective fork edit, and the
 per-relation stamps are inherited the same way.  Derived state built
-*on the fork* — planner :class:`~repro.query.planner.Statistics`, the
-incremental engine's maintained answers — works unchanged, staleness
-checks included.
+*on the fork* — the incremental engine's maintained answers, the SQL
+backend's per-relation sync — works unchanged, staleness checks
+included.
 
 Every effective fork edit is appended to :attr:`pending_edits`, the
 ordered edit log a session later replays onto the base at commit time.

@@ -1,15 +1,5 @@
-"""Provenance: witnesses, semiring polynomials, WhyNot? picky joins."""
+"""Provenance: witnesses and WhyNot? picky joins."""
 
-from .semiring import (
-    BooleanSemiring,
-    CountingSemiring,
-    Monomial,
-    Polynomial,
-    Semiring,
-    TrustSemiring,
-    WhySemiring,
-    provenance_polynomial,
-)
 from .whynot import PickyJoin, find_picky_join
 from .witness import (
     fact_frequencies,
@@ -22,16 +12,8 @@ from .witness import (
 )
 
 __all__ = [
-    "BooleanSemiring",
-    "CountingSemiring",
-    "Monomial",
     "PickyJoin",
-    "Polynomial",
-    "Semiring",
-    "TrustSemiring",
-    "WhySemiring",
     "fact_frequencies",
-    "provenance_polynomial",
     "find_picky_join",
     "lineage",
     "most_frequent_fact",

@@ -8,10 +8,10 @@ construction — no live strategy objects, backends, or oracles ever
 travel.
 
 * :func:`config_to_obj` / :func:`config_from_obj` map a
-  :class:`~repro.core.qoco.QOCOConfig` onto registry *names*
-  (``DELETION_STRATEGIES`` / ``SPLIT_STRATEGIES`` / the estimator
-  registry / backend names); configs carrying live objects that have no
-  registered name are rejected up front rather than mis-pickled.
+  :class:`~repro.core.qoco.QOCOConfig` onto registry *names* (the
+  strategy :data:`~repro.core.registry.REGISTRY`, the estimator table,
+  backend names); configs carrying live objects that have no registered
+  name are rejected up front rather than mis-pickled.
 * :func:`question_to_obj` / :func:`question_from_obj` and
   :func:`reply_to_obj` / :func:`reply_from_obj` encode the five oracle
   question kinds and their answers for the parent-side router.
@@ -19,13 +19,11 @@ travel.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
-from ..core.deletion import DELETION_STRATEGIES
 from ..core.insertion import InsertionConfig
 from ..core.qoco import QOCOConfig
 from ..core.registry import REGISTRY, RegistryError
-from ..core.split import SPLIT_STRATEGIES
 from ..durability import codec
 from ..durability.codec import CodecError
 from ..oracle.enumeration import Chao92Estimator, CompletionEstimator, ExactCompletion
@@ -39,26 +37,23 @@ ESTIMATOR_FACTORIES: dict[str, Callable[[], CompletionEstimator]] = {
 }
 
 
-def _registry_name(registry: Mapping[str, type], value: Any, what: str) -> str:
-    for name, cls in registry.items():
-        if type(value) is cls:
-            return name
-    raise ShardingError(
-        f"{what} {value!r} has no registered wire name; sharded cleaning "
-        f"needs one of {sorted(registry)}"
-    )
-
-
-def _strategy_name(kind: str, registry: Mapping[str, type], spec: Any, what: str) -> str:
+def _strategy_name(kind: str, spec: Any) -> str:
     """The wire name of a strategy field: strings validate against the
-    unified registry, instances reverse-map through the legacy table."""
+    registry, instances map back to the name that rebuilds them."""
     if isinstance(spec, str):
         try:
             REGISTRY.resolve(kind, spec)
         except RegistryError as error:
             raise ShardingError(str(error)) from error
         return spec
-    return _registry_name(registry, spec, what)
+    name = REGISTRY.name_of(kind, spec)
+    if name is None:
+        raise ShardingError(
+            f"{kind} strategy {spec!r} has no registered wire name; sharded "
+            f"cleaning needs an instance of a class registered as one of "
+            f"{REGISTRY.names(kind)}"
+        )
+    return name
 
 
 def _planner_name(spec: Any) -> Any:
@@ -103,12 +98,8 @@ def config_to_obj(config: QOCOConfig) -> dict:
             f"registered wire name; use one of {sorted(ESTIMATOR_FACTORIES)}"
         )
     return {
-        "deletion_strategy": _strategy_name(
-            "deletion", DELETION_STRATEGIES, config.deletion, "deletion strategy"
-        ),
-        "split_strategy": _strategy_name(
-            "split", SPLIT_STRATEGIES, config.split, "split strategy"
-        ),
+        "deletion_strategy": _strategy_name("deletion", config.deletion),
+        "split_strategy": _strategy_name("split", config.split),
         "planner": _planner_name(config.planner),
         "estimator": estimator_name,
         "insertion": {

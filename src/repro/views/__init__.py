@@ -1,5 +1,5 @@
-"""Materialized views with incremental maintenance (the monitor mode)."""
+"""Materialized views kept exact under edits (the monitor mode)."""
 
-from .materialized import MaterializedView, ViewManager
+from .materialized import ViewManager
 
-__all__ = ["MaterializedView", "ViewManager"]
+__all__ = ["ViewManager"]

@@ -1,4 +1,4 @@
-"""Materialized views with incremental maintenance.
+"""Views kept materialized while cleaning edits the base tables.
 
 The paper deploys QOCO as a monitor: "QOCO can be activated to monitor
 the views that are served to users/applications.  Whenever an error is
@@ -6,177 +6,64 @@ reported in a view, QOCO can take over..."  Serving views means keeping
 them materialized, and cleaning means editing base tables — so the views
 must track edits without full recomputation.
 
-:class:`MaterializedView` keeps, per answer, its *support* — the number
-of valid assignments producing it.  Deltas are computed from the changed
-fact alone:
-
-* inserting fact ``f``: the new assignments are exactly those valid
-  assignments whose witness uses ``f`` (for each body atom unifiable
-  with ``f``, bind it and enumerate extensions; deduplicate across
-  atoms);
-* deleting ``f``: symmetric, enumerated *before* the fact is removed.
-
-``incremental == recompute`` is property-tested over random edit
-sequences, and a benchmark shows the speedup on the 5k-tuple database.
+:class:`ViewManager` keeps each view as a subscribed
+:class:`~repro.query.incremental.IncrementalAnswers`, the counting
+engine the cleaning loops run on.  The database notifies it of every
+effective edit, whatever code path made it — the manager's own helpers,
+``Database.insert``/``delete``/``apply``, or a cleaning loop editing the
+database directly — so every view stays equal to ``Q(D)``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Optional
 
 from ..db.database import Database
-from ..db.edits import Edit, EditKind
+from ..db.edits import Edit, delete, insert
 from ..db.tuples import Fact
 from ..query.ast import Query
-from ..query.evaluator import (
-    Answer,
-    Assignment,
-    Evaluator,
-    instantiate_head,
-)
-from ..query.incremental import assignments_using_fact
-from ..telemetry import TELEMETRY as _TELEMETRY
-
-
-class MaterializedView:
-    """One query kept materialized over a database.
-
-    The view keeps a shadow set of the facts it has accounted for (only
-    for relations the query body mentions), which makes the delta path
-    robust against *no-op edits*: ``on_insert`` of a fact that is
-    already accounted, or ``on_delete`` of a fact never seen, returns an
-    empty delta instead of silently drifting the support counters.
-    """
-
-    def __init__(self, query: Query, database: Database) -> None:
-        query.validate(database.schema)
-        self.query = query
-        self.database = database
-        self._relations = {atom.relation for atom in query.atoms}
-        self._support: Counter = Counter()
-        self._accounted: set[Fact] = set()
-        self.refresh()
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def answers(self) -> set[Answer]:
-        return set(self._support)
-
-    def support(self, answer: Answer) -> int:
-        """Number of valid assignments currently producing *answer*."""
-        return self._support.get(answer, 0)
-
-    def __contains__(self, answer: object) -> bool:
-        return answer in self._support
-
-    def __len__(self) -> int:
-        return len(self._support)
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def refresh(self) -> None:
-        """Full recomputation (used at construction and as a fallback)."""
-        _TELEMETRY.count("view.refreshes")
-        self._support = Counter()
-        self._accounted = set()
-        for relation in self._relations:
-            self._accounted.update(self.database.facts(relation))
-        for assignment in Evaluator(self.query, self.database).assignments():
-            self._support[instantiate_head(self.query, assignment)] += 1
-
-    def on_insert(self, fact: Fact) -> set[Answer]:
-        """Account for *fact* having just been inserted into the database.
-
-        Returns the answers that newly appeared.  A no-op edit — a fact
-        this view already accounted for (e.g. re-inserting an existing
-        fact), a fact of a relation the query never reads, or a fact
-        that is not actually in the database (the insert never landed) —
-        returns an empty delta and leaves the supports untouched.
-        """
-        if (
-            fact.relation not in self._relations
-            or fact in self._accounted
-            or fact not in self.database
-        ):
-            _TELEMETRY.count("view.noop_edits")
-            return set()
-        self._accounted.add(fact)
-        added: set[Answer] = set()
-        assignments = self._assignments_using(fact)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.observe("view.delta_size", len(assignments))
-        for assignment in assignments:
-            answer = instantiate_head(self.query, assignment)
-            if self._support[answer] == 0:
-                added.add(answer)
-            self._support[answer] += 1
-        return added
-
-    def on_delete(self, fact: Fact) -> set[Answer]:
-        """Account for *fact* being deleted.  **Call before removing it**
-        from the database (the lost assignments must still be enumerable).
-
-        Returns the answers that disappeared.  Deleting a fact this view
-        never accounted for (absent fact, untracked relation, repeated
-        delete) is a no-op: empty delta, supports untouched — support
-        counters can never go negative.
-        """
-        if fact.relation not in self._relations or fact not in self._accounted:
-            _TELEMETRY.count("view.noop_edits")
-            return set()
-        self._accounted.discard(fact)
-        removed: set[Answer] = set()
-        assignments = self._assignments_using(fact)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.observe("view.delta_size", len(assignments))
-        for assignment in assignments:
-            answer = instantiate_head(self.query, assignment)
-            current = self._support.get(answer, 0)
-            if current == 0:
-                continue  # drift guard: never drive a support negative
-            if current == 1:
-                del self._support[answer]
-                removed.add(answer)
-            else:
-                self._support[answer] = current - 1
-        return removed
-
-    # ------------------------------------------------------------------
-    # deltas
-    # ------------------------------------------------------------------
-    def _assignments_using(self, fact: Fact) -> list[Assignment]:
-        """Distinct valid assignments whose witness includes *fact*."""
-        return assignments_using_fact(Evaluator(self.query, self.database), fact)
+from ..query.evaluator import Answer
+from ..query.incremental import IncrementalAnswers
 
 
 class ViewManager:
-    """A set of materialized views kept consistent under edits.
+    """A set of named views over one database, each kept exact.
 
-    Route all database mutation through :meth:`apply` (or the
-    insert/delete helpers); the views stay exact.
+    :meth:`insert`, :meth:`delete` and :meth:`apply` edit the database
+    and report, per view, the answers the edits made appear or vanish.
+    :meth:`close` (or leaving a ``with`` block) detaches every view.
     """
 
     def __init__(self, database: Database) -> None:
         self.database = database
-        self._views: dict[str, MaterializedView] = {}
+        self._views: dict[str, IncrementalAnswers] = {}
 
-    def register(self, query: Query, name: Optional[str] = None) -> MaterializedView:
+    def register(self, query: Query, name: Optional[str] = None) -> IncrementalAnswers:
         label = name if name is not None else query.name
         if label in self._views:
             raise ValueError(f"a view named {label!r} is already registered")
-        view = MaterializedView(query, self.database)
+        view = IncrementalAnswers(query, self.database)
         self._views[label] = view
         return view
 
-    def view(self, name: str) -> MaterializedView:
+    def view(self, name: str) -> IncrementalAnswers:
         return self._views[name]
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self._views)
+
+    def close(self) -> None:
+        """Detach every view from the database (idempotent)."""
+        for view in self._views.values():
+            view.close()
+
+    def __enter__(self) -> "ViewManager":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
 
     # -- mutation ------------------------------------------------------
     def insert(self, fact: Fact) -> dict[str, set[Answer]]:
@@ -186,35 +73,29 @@ class ViewManager:
         a real one — every registered view mapped to an empty delta — so
         callers folding deltas never special-case the empty dict.
         """
-        if not self.database.insert(fact):
-            _TELEMETRY.count("view.noop_edits")
-            return {name: set() for name in self._views}
-        return {
-            name: view.on_insert(fact) for name, view in self._views.items()
-        }
+        return self._edit(insert(fact))
 
     def delete(self, fact: Fact) -> dict[str, set[Answer]]:
         """Delete a fact; return per-view answers that disappeared.
 
         Deleting an absent fact is a consistent no-op (see :meth:`insert`).
         """
-        if fact not in self.database:
-            _TELEMETRY.count("view.noop_edits")
-            return {name: set() for name in self._views}
-        changes = {
-            name: view.on_delete(fact) for name, view in self._views.items()
-        }
-        self.database.delete(fact)
-        return changes
+        return self._edit(delete(fact))
 
     def apply(self, edits: Iterable[Edit]) -> dict[str, set[Answer]]:
         """Apply a sequence of edits; merge per-view changed answers."""
         changed: dict[str, set[Answer]] = {name: set() for name in self._views}
         for edit in edits:
-            if edit.kind is EditKind.INSERT:
-                delta = self.insert(edit.fact)
-            else:
-                delta = self.delete(edit.fact)
-            for name, answers in delta.items():
+            for name, answers in self._edit(edit).items():
                 changed[name] |= answers
         return changed
+
+    def _edit(self, edit: Edit) -> dict[str, set[Answer]]:
+        """Apply one edit; per view, the answers whose membership flipped
+        (an insert can also revoke answers through a negated atom)."""
+        before = {name: view.answers() for name, view in self._views.items()}
+        edit.apply(self.database)
+        return {
+            name: view.answers() ^ before[name]
+            for name, view in self._views.items()
+        }

@@ -1,4 +1,4 @@
-"""The public API surface: snapshot, deprecation shims, facade parity.
+"""The public API surface: snapshot, removed spellings, facade parity.
 
 The snapshot lists are the contract: changing ``repro.api.__all__`` or
 ``repro.__all__`` without updating them here is a CI failure
@@ -46,7 +46,6 @@ PACKAGE_SURFACE = [
     "CapacityScheduler",
     "Chao92Estimator",
     "CostModel",
-    "CleaningReport",
     "CleaningSession",
     "Crowd",
     "Database",
@@ -143,41 +142,28 @@ class TestSurfaceSnapshot:
             assert getattr(repro.api, name) is not None
 
 
-class TestDeprecationShims:
-    def test_union_qoco_name_warns_and_works(self, fig1_dirty, fig1_gt):
-        with pytest.warns(DeprecationWarning, match="UCQCleaner"):
-            cls = repro.UnionQOCO
-        assert issubclass(cls, UCQCleaner)
-
-    def test_parallel_report_name_warns_and_aliases(self):
-        with pytest.warns(DeprecationWarning, match="Report"):
-            alias = repro.ParallelReport
-        assert alias is Report
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.does_not_exist
-
-    def test_positional_split_strategy_warns(self, fig1_dirty, fig1_oracle):
+class TestRemovedSpellings:
+    def test_removed_spellings_fail_loudly(self, fig1_dirty, fig1_oracle):
+        from repro.core.deletion import RandomDeletion
         from repro.core.split import NaiveSplit
 
-        with pytest.warns(DeprecationWarning, match="split_strategy"):
-            qoco = ParallelQOCO(fig1_dirty, fig1_oracle, NaiveSplit())
-        assert isinstance(qoco.split_strategy, NaiveSplit)
+        from repro.aggregates import AggregateQOCO
 
-    def test_positional_deletion_strategy_warns(self, fig1_dirty, fig1_oracle):
-        from repro.core.deletion import RandomDeletion
-
-        with pytest.warns(DeprecationWarning, match="deletion_strategy"):
-            cleaner = UCQCleaner(fig1_dirty, fig1_oracle, RandomDeletion())
-        assert isinstance(cleaner.deletion_strategy, RandomDeletion)
-
-    def test_old_report_names_are_thin_aliases(self):
-        from repro.core.parallel import ParallelReport
-        from repro.core.session import CleaningReport
-
-        assert CleaningReport is Report
-        assert ParallelReport is Report
+        for name in ("UnionQOCO", "ParallelReport", "CleaningReport"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
+        with pytest.raises(TypeError, match="split_strategy"):
+            QOCOConfig(split_strategy=NaiveSplit())
+        with pytest.raises(TypeError, match="deletion_strategy"):
+            QOCO(fig1_dirty, fig1_oracle, deletion_strategy="random")
+        with pytest.raises(TypeError, match="insertion_config"):
+            ParallelQOCO(fig1_dirty, fig1_oracle, insertion_config=None)
+        with pytest.raises(TypeError, match="split_strategy"):
+            AggregateQOCO(fig1_dirty, fig1_oracle, split_strategy="naive")
+        with pytest.raises(TypeError, match="QOCOConfig"):
+            ParallelQOCO(fig1_dirty, fig1_oracle, NaiveSplit())
+        with pytest.raises(TypeError, match="QOCOConfig"):
+            UCQCleaner(fig1_dirty, fig1_oracle, RandomDeletion())
 
 
 class TestUnifiedConfig:
@@ -242,13 +228,13 @@ class TestStrategyRegistry:
         qoco = QOCO(fig1_dirty, fig1_oracle, split=strategy)
         assert qoco.split_strategy is strategy
 
-    def test_unknown_name_lists_alternatives(self):
+    def test_unknown_name_lists_alternatives(self, fig1_dirty, fig1_oracle):
         from repro.core import REGISTRY, RegistryError
 
         with pytest.raises(RegistryError, match="mincut"):
             REGISTRY.resolve("split", "does-not-exist")
         with pytest.raises(RegistryError):
-            QOCOConfig(split="does-not-exist").split_strategy
+            QOCO(fig1_dirty, fig1_oracle, QOCOConfig(split="does-not-exist"))
 
     def test_registry_enumerates_kinds_and_names(self):
         from repro.core import REGISTRY
@@ -257,16 +243,6 @@ class TestStrategyRegistry:
         assert "provenance" in REGISTRY.names("split")
         assert "responsibility" in REGISTRY.names("deletion")
         assert "bandit" in REGISTRY.names("planner")
-
-    def test_legacy_config_kwargs_warn_and_map(self):
-        from repro.core.split import NaiveSplit
-
-        with pytest.warns(DeprecationWarning, match="split_strategy"):
-            config = QOCOConfig(split_strategy=NaiveSplit())
-        assert isinstance(config.split_strategy, NaiveSplit)
-        with pytest.warns(DeprecationWarning, match="deletion_strategy"):
-            config = QOCOConfig(deletion_strategy="random")
-        assert config.deletion == "random"
 
     def test_unknown_config_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):

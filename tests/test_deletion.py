@@ -5,13 +5,13 @@ import random
 import pytest
 
 from repro.core.deletion import (
-    DELETION_STRATEGIES,
     DeletionError,
     QOCODeletion,
     QOCOMinusDeletion,
     RandomDeletion,
     crowd_remove_wrong_answer,
 )
+from repro.core.registry import REGISTRY
 from repro.datasets.figure1 import ESP_EU
 from repro.db.edits import EditKind
 from repro.oracle.base import AccountingOracle
@@ -135,14 +135,15 @@ class TestBaselines:
         from repro.datasets.figure1 import figure1_dirty
 
         costs = {}
-        for name, strategy_cls in DELETION_STRATEGIES.items():
+        for name in REGISTRY.names("deletion"):
             oracle = AccountingOracle(PerfectOracle(fig1_gt))
             db = figure1_dirty()
+            strategy = REGISTRY.resolve("deletion", name)
             crowd_remove_wrong_answer(
-                EX1, db, ("ESP",), oracle, strategy_cls(), random.Random(0)
+                EX1, db, ("ESP",), oracle, strategy, random.Random(0)
             )
             costs[name] = oracle.log.cost_of([QuestionKind.VERIFY_FACT])
-        assert costs["QOCO"] <= costs["QOCO-"] <= costs["Random"]
+        assert costs["qoco"] <= costs["qoco-"] <= costs["random"]
 
 
 class TestEdgeCases:

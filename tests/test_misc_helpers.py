@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.core.registry import RegistryError
 from repro.db.database import Database
 from repro.db.schema import Schema
 from repro.db.tuples import fact
 from repro.experiments.harness import make_split, make_strategy
 from repro.query.ast import Atom, Var, is_var, term_str
 from repro.query.evaluator import atom_pattern, negated_match_exists
-from repro.query.planner import PlanExplanation
 
 
 class TestTermHelpers:
@@ -62,22 +62,11 @@ class TestHarnessFactories:
     def test_make_strategy(self):
         assert make_strategy("QOCO").name == "QOCO"
         assert make_strategy("Random").name == "Random"
-        with pytest.raises(KeyError):
+        with pytest.raises(RegistryError):
             make_strategy("nope")
 
     def test_make_split(self):
         assert make_split("Provenance").name == "Provenance"
         assert make_split("Naive").name == "Naive"
-        with pytest.raises(KeyError):
+        with pytest.raises(RegistryError):
             make_split("nope")
-
-
-class TestPlanExplanation:
-    def test_render(self):
-        from repro.query.parser import parse_query
-
-        q = parse_query("q(a) :- r(a, b), s(b).")
-        explanation = PlanExplanation(order=(1, 0), estimates=(2.0, 8.0))
-        text = explanation.render(q)
-        assert "1. s(b)" in text
-        assert "est. 2.0" in text

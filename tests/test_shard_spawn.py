@@ -17,10 +17,9 @@ import sys
 
 import pytest
 
-from repro.core.deletion import DELETION_STRATEGIES
 from repro.core.insertion import InsertionConfig
 from repro.core.qoco import QOCOConfig
-from repro.core.split import SPLIT_STRATEGIES
+from repro.core.registry import REGISTRY
 from repro.datasets.worldcup import worldcup_partition_spec
 from repro.db.database import Database
 from repro.db.schema import RelationSchema, Schema
@@ -66,23 +65,37 @@ def _spawn_echo(obj):
     return echoed
 
 
+#: "trust" is registered through a lambda binding an empty trust table,
+#: so its name cannot carry an instance's scores across the wire.
+WIRE_DELETIONS = [name for name in REGISTRY.names("deletion") if name != "trust"]
+
+
 class TestConfigWire:
-    @pytest.mark.parametrize("deletion", sorted(DELETION_STRATEGIES))
-    @pytest.mark.parametrize("split", sorted(SPLIT_STRATEGIES))
+    @pytest.mark.parametrize("deletion", WIRE_DELETIONS)
+    @pytest.mark.parametrize("split", REGISTRY.names("split"))
     def test_roundtrip_all_registered_strategies(self, deletion, split):
         config = QOCOConfig(
-            deletion=DELETION_STRATEGIES[deletion](),
-            split=SPLIT_STRATEGIES[split](),
+            deletion=REGISTRY.resolve("deletion", deletion),
+            split=REGISTRY.resolve("split", split),
             insertion=InsertionConfig(max_candidates_per_subquery=5, max_subqueries=9),
             max_iterations=17,
             seed=13,
             backend="columnar",
         )
         obj = wire.config_to_obj(config)
+        assert obj["deletion_strategy"] == deletion
+        assert obj["split_strategy"] == split
         decoded = wire.config_from_obj(pickle.loads(pickle.dumps(obj)))
         assert wire.config_to_obj(decoded) == obj
-        assert type(decoded.deletion_strategy) is type(config.deletion_strategy)
+        assert type(decoded.deletion) is type(config.deletion)
+        assert type(decoded.split) is type(config.split)
         assert decoded.max_iterations == 17 and decoded.seed == 13
+
+    def test_trust_instance_rejected(self):
+        from repro.core.heuristics import TrustScoreDeletion
+
+        with pytest.raises(ShardingError, match="deletion"):
+            wire.config_to_obj(QOCOConfig(deletion=TrustScoreDeletion({})))
 
     def test_roundtrip_string_names_and_planner(self):
         config = QOCOConfig(
@@ -93,8 +106,8 @@ class TestConfigWire:
         assert obj["split_strategy"] == "mincut"
         assert obj["planner"] == "bandit"
         decoded = wire.config_from_obj(pickle.loads(pickle.dumps(obj)))
-        assert type(decoded.deletion_strategy).__name__ == "ResponsibilityDeletion"
-        assert type(decoded.split_strategy).__name__ == "MinCutSplit"
+        assert type(decoded.deletion).__name__ == "ResponsibilityDeletion"
+        assert type(decoded.split).__name__ == "MinCutSplit"
         assert decoded.planner == "bandit"
 
     def test_unknown_strategy_name_rejected(self):

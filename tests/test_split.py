@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from repro.core.registry import REGISTRY
 from repro.core.split import (
-    SPLIT_STRATEGIES,
     MinCutSplit,
     NaiveSplit,
     ProvenanceSplit,
@@ -101,11 +101,11 @@ class TestProvenance:
 
 class TestRegistry:
     def test_all_strategies_registered(self):
-        assert set(SPLIT_STRATEGIES) == {"Naive", "Random", "MinCut", "Provenance"}
+        assert REGISTRY.names("split") == ["mincut", "naive", "provenance", "random"]
 
     def test_registry_instantiable(self, db, rng):
         q = parse_query('q(x) :- teams(x, c), games(d, x, l, s, r), goals(p, d).')
-        for cls in SPLIT_STRATEGIES.values():
-            strategy = cls()
+        for name in REGISTRY.names("split"):
+            strategy = REGISTRY.resolve("split", name)
             parts = strategy.split(q, db, rng)
             assert isinstance(parts, list)

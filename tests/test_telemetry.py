@@ -300,16 +300,19 @@ class TestPipelineInstrumentation:
             assert hub.counter("parallel.iterations") == report.iterations
 
     def test_view_maintenance_counters(self, worldcup_gt):
-        from repro.views.materialized import MaterializedView
+        from repro.views.materialized import ViewManager
 
         db = worldcup_gt.copy()
-        with telemetry_session() as (hub, _):
-            view = MaterializedView(EX1, db)
-            assert hub.counter("view.refreshes") == 1
-            # a genuine no-op: re-announcing an already-accounted fact
-            existing = next(iter(db.facts(next(iter(view._relations)))))
-            view.on_insert(existing)
-            assert hub.counter("view.noop_edits") == 1
+        with telemetry_session() as (hub, _), ViewManager(db) as manager:
+            manager.register(EX1)
+            assert hub.counter("incremental.full_recompute") == 1
+            # a no-op edit never reaches the view
+            existing = next(iter(db.facts("teams")))
+            manager.insert(existing)
+            assert hub.counter("incremental.delta_applied") == 0
+            manager.delete(existing)
+            assert hub.counter("incremental.delta_applied") == 1
+            assert hub.counter("incremental.full_recompute") == 1
 
     def test_disabled_telemetry_counts_nothing(self, worldcup_gt):
         assert not TELEMETRY.enabled

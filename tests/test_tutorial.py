@@ -107,10 +107,11 @@ class TestTutorialSteps:
 
     def test_step6_strategy_config(self, dirty, ground_truth):
         config = QOCOConfig(deletion="qoco-", split="mincut", seed=7)
-        assert isinstance(config.deletion_strategy, QOCOMinusDeletion)
-        assert isinstance(config.split_strategy, MinCutSplit)
         oracle = AccountingOracle(PerfectOracle(ground_truth))
-        QOCO(dirty, oracle, config).clean(AWARDED)
+        cleaner = QOCO(dirty, oracle, config)
+        assert isinstance(cleaner.deletion_strategy, QOCOMinusDeletion)
+        assert isinstance(cleaner.split_strategy, MinCutSplit)
+        cleaner.clean(AWARDED)
         assert evaluate(AWARDED, dirty) == evaluate(AWARDED, ground_truth)
 
     def test_step7_constraints(self, dirty, ground_truth):
@@ -126,14 +127,12 @@ class TestTutorialSteps:
         assert constraints.is_satisfied(dirty)
 
     def test_step8_view_monitoring(self, dirty, ground_truth):
-        manager = ViewManager(dirty)
-        view = manager.register(AWARDED)
-        scratch = dirty.copy()
-        oracle = AccountingOracle(PerfectOracle(ground_truth))
-        report = QOCO(scratch, oracle).clean(AWARDED)
-        manager.apply(report.edits)
-        assert view.answers() == evaluate(AWARDED, dirty)
-        assert view.answers() == evaluate(AWARDED, ground_truth)
+        with ViewManager(dirty) as manager:
+            view = manager.register(AWARDED)
+            oracle = AccountingOracle(PerfectOracle(ground_truth))
+            QOCO(dirty, oracle).clean(AWARDED)
+            assert view.answers() == evaluate(AWARDED, dirty)
+            assert view.answers() == evaluate(AWARDED, ground_truth)
 
     def test_negation_cleaning_on_tutorial_data(self, dirty, ground_truth):
         from repro.core import remove_wrong_answer_with_negation

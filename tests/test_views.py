@@ -1,4 +1,4 @@
-"""Tests for materialized views and incremental maintenance."""
+"""Tests for materialized views kept exact by ``ViewManager``."""
 
 import random
 
@@ -10,7 +10,7 @@ from repro.db.schema import Schema
 from repro.db.tuples import fact
 from repro.query.evaluator import evaluate
 from repro.query.parser import parse_query
-from repro.views.materialized import MaterializedView, ViewManager
+from repro.views.materialized import ViewManager
 from repro.workloads import EX1
 
 
@@ -30,65 +30,61 @@ def db(schema):
 QUERY = parse_query("q(a) :- r(a, b), s(b).")
 
 
+def _view(database, query=QUERY):
+    return ViewManager(database).register(query)
+
+
 class TestMaterializedView:
+    """A registered view follows plain ``Database`` edits on its own."""
+
     def test_initial_materialization(self, db):
-        view = MaterializedView(QUERY, db)
+        view = _view(db)
         assert view.answers() == {(1,), (3,)}
         assert view.support((1,)) == 1
 
     def test_insert_adds_answer(self, db):
-        view = MaterializedView(QUERY, db)
+        view = _view(db)
         db.insert(fact("r", 9, 2))
-        added = view.on_insert(fact("r", 9, 2))
-        assert added == {(9,)}
         assert view.answers() == {(1,), (3,), (9,)}
+        assert view.support((9,)) == 1
 
     def test_insert_increases_support_without_new_answer(self, db):
-        view = MaterializedView(QUERY, db)
+        view = _view(db)
         db.insert(fact("s", 5))
-        assert view.on_insert(fact("s", 5)) == set()
+        assert view.answers() == {(1,), (3,)}
         db.insert(fact("r", 1, 5))
-        added = view.on_insert(fact("r", 1, 5))
-        assert added == set()  # (1,) already present
+        assert view.answers() == {(1,), (3,)}  # (1,) already present
         assert view.support((1,)) == 2
 
     def test_delete_decrements_support(self, db):
-        view = MaterializedView(QUERY, db)
+        view = _view(db)
         db.insert(fact("s", 5))
-        view.on_insert(fact("s", 5))
         db.insert(fact("r", 1, 5))
-        view.on_insert(fact("r", 1, 5))
-        removed = view.on_delete(fact("r", 1, 5))
         db.delete(fact("r", 1, 5))
-        assert removed == set()
+        assert view.answers() == {(1,), (3,)}
         assert view.support((1,)) == 1
 
     def test_delete_removes_answer(self, db):
-        view = MaterializedView(QUERY, db)
-        removed = view.on_delete(fact("r", 1, 2))
+        view = _view(db)
         db.delete(fact("r", 1, 2))
-        assert removed == {(1,)}
         assert view.answers() == {(3,)}
+        assert view.support((1,)) == 0
 
     def test_shared_fact_deletion_removes_all(self, db):
-        view = MaterializedView(QUERY, db)
-        removed = view.on_delete(fact("s", 2))
+        view = _view(db)
         db.delete(fact("s", 2))
-        assert removed == {(1,), (3,)}
         assert view.answers() == set()
 
     def test_self_join_dedup(self, schema):
         db = Database(schema, [fact("s", 2)])
-        q = parse_query("q(a) :- r(a, b), r(a, c), s(b).")
-        view = MaterializedView(q, db)
+        view = _view(db, parse_query("q(a) :- r(a, b), r(a, c), s(b)."))
         db.insert(fact("r", 1, 2))
-        added = view.on_insert(fact("r", 1, 2))
-        assert added == {(1,)}
+        assert view.answers() == {(1,)}
         # one assignment (b=c=2), counted once despite two atom positions
         assert view.support((1,)) == 1
 
     def test_contains_and_len(self, db):
-        view = MaterializedView(QUERY, db)
+        view = _view(db)
         assert (1,) in view
         assert (99,) not in view
         assert len(view) == 2
@@ -148,59 +144,36 @@ class TestViewManager:
         assert changed["p"] == {(7,)}
         assert changed["q"] == set()
 
+    def test_insert_revoking_negated_answers_is_reported(self, db):
+        manager = ViewManager(db)
+        view = manager.register(parse_query("q(a) :- r(a, b), not s(a)."))
+        assert view.answers() == {(1,), (3,)}
+        assert manager.insert(fact("s", 3)) == {"q": {(3,)}}
+        assert view.answers() == {(1,)}
+
+    def test_close_detaches_every_view(self, db):
+        before = len(db._listeners)
+        manager = ViewManager(db)
+        view = manager.register(QUERY)
+        manager.register(parse_query("p(b) :- s(b)."), name="p")
+        assert len(db._listeners) == before + 2
+        manager.close()
+        assert len(db._listeners) == before
+        manager.close()  # idempotent
+        db.insert(fact("r", 9, 2))
+        # a detached view is a snapshot that recomputes on read
+        assert view.answers() == evaluate(QUERY, db)
+
+    def test_with_block_detaches_every_view(self, db):
+        before = len(db._listeners)
+        with ViewManager(db) as manager:
+            manager.register(QUERY)
+            assert len(db._listeners) == before + 1
+        assert len(db._listeners) == before
+
 
 class TestNoOpEditDrift:
     """Regression: no-op edits must never drift the support counters."""
-
-    def test_double_on_insert_does_not_double_count(self, db):
-        view = MaterializedView(QUERY, db)
-        db.insert(fact("r", 9, 2))
-        assert view.on_insert(fact("r", 9, 2)) == {(9,)}
-        # a second (no-op) notification for the same insert
-        assert view.on_insert(fact("r", 9, 2)) == set()
-        assert view.support((9,)) == 1
-        assert view.answers() == evaluate(QUERY, db)
-
-    def test_on_insert_of_already_present_fact_is_noop(self, db):
-        view = MaterializedView(QUERY, db)
-        # fact("r", 1, 2) was part of the initial materialization; a
-        # redundant insert notification must not bump its support
-        assert view.on_insert(fact("r", 1, 2)) == set()
-        assert view.support((1,)) == 1
-
-    def test_on_insert_before_database_insert_is_noop(self, db):
-        view = MaterializedView(QUERY, db)
-        # the insert "never landed": consistent empty delta, no drift
-        assert view.on_insert(fact("r", 9, 2)) == set()
-        assert view.support((9,)) == 0
-        # once the fact actually lands the delta is emitted normally
-        db.insert(fact("r", 9, 2))
-        assert view.on_insert(fact("r", 9, 2)) == {(9,)}
-
-    def test_double_on_delete_does_not_go_negative(self, db):
-        view = MaterializedView(QUERY, db)
-        assert view.on_delete(fact("r", 1, 2)) == {(1,)}
-        db.delete(fact("r", 1, 2))
-        # repeated delete notification: no-op, supports never negative
-        assert view.on_delete(fact("r", 1, 2)) == set()
-        assert view.support((1,)) == 0
-        # re-inserting must resurrect the answer with support exactly 1
-        db.insert(fact("r", 1, 2))
-        assert view.on_insert(fact("r", 1, 2)) == {(1,)}
-        assert view.support((1,)) == 1
-
-    def test_on_delete_of_absent_fact_is_noop(self, db):
-        view = MaterializedView(QUERY, db)
-        assert view.on_delete(fact("r", 77, 77)) == set()
-        assert view.answers() == evaluate(QUERY, db)
-
-    def test_untracked_relation_is_noop(self, schema):
-        db = Database(schema, [fact("r", 1, 2), fact("s", 2)])
-        q = parse_query("q(a) :- r(a, b).")
-        view = MaterializedView(q, db)
-        db.insert(fact("s", 5))
-        assert view.on_insert(fact("s", 5)) == set()
-        assert view.answers() == {(1,)}
 
     def test_manager_noop_storm_keeps_views_exact(self, db):
         manager = ViewManager(db)
@@ -230,24 +203,19 @@ class TestIncrementalMatchesRecompute:
             assert view.answers() == evaluate(QUERY, db)
 
     def test_worldcup_cleaning_keeps_view_exact(self, worldcup_gt):
+        from repro.core.qoco import QOCO, QOCOConfig
         from repro.datasets.noise import inject_result_errors
+        from repro.oracle.base import AccountingOracle
+        from repro.oracle.perfect import PerfectOracle
 
         errors = inject_result_errors(
             worldcup_gt, EX1, n_wrong=1, n_missing=1, rng=random.Random(3)
         )
-        db = errors.dirty.copy()
-        manager = ViewManager(db)
-        view = manager.register(EX1)
-
-        # replay a cleaning run's edits through the manager
-        from repro.core.qoco import QOCO, QOCOConfig
-        from repro.oracle.base import AccountingOracle
-        from repro.oracle.perfect import PerfectOracle
-
-        scratch = errors.dirty.copy()
-        oracle = AccountingOracle(PerfectOracle(worldcup_gt))
-        report = QOCO(scratch, oracle, QOCOConfig(seed=3)).clean(EX1)
-
-        manager.apply(report.edits)
-        assert view.answers() == evaluate(EX1, db)
-        assert view.answers() == evaluate(EX1, worldcup_gt)
+        db = errors.dirty
+        with ViewManager(db) as manager:
+            view = manager.register(EX1)
+            # the cleaning loop edits the managed database directly
+            oracle = AccountingOracle(PerfectOracle(worldcup_gt))
+            QOCO(db, oracle, QOCOConfig(seed=3)).clean(EX1)
+            assert view.answers() == evaluate(EX1, db)
+            assert view.answers() == evaluate(EX1, worldcup_gt)
