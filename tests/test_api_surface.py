@@ -1,4 +1,4 @@
-"""The public API surface: snapshot, removed spellings, facade parity.
+"""The public API surface: snapshot, retired shims, facade parity.
 
 The snapshot lists are the contract: changing ``repro.api.__all__`` or
 ``repro.__all__`` without updating them here is a CI failure
@@ -142,28 +142,40 @@ class TestSurfaceSnapshot:
             assert getattr(repro.api, name) is not None
 
 
-class TestRemovedSpellings:
-    def test_removed_spellings_fail_loudly(self, fig1_dirty, fig1_oracle):
-        from repro.core.deletion import RandomDeletion
+class TestDeprecationShims:
+    """The shims are retired: each old spelling fails loudly, none warns."""
+
+    def test_union_qoco_name_is_gone(self):
+        with pytest.raises(AttributeError):
+            repro.UnionQOCO
+
+    def test_parallel_report_name_is_gone(self):
+        with pytest.raises(AttributeError):
+            repro.ParallelReport
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            repro.does_not_exist
+
+    def test_positional_split_strategy_is_a_type_error(self, fig1_dirty, fig1_oracle):
         from repro.core.split import NaiveSplit
 
-        from repro.aggregates import AggregateQOCO
-
-        for name in ("UnionQOCO", "ParallelReport", "CleaningReport"):
-            with pytest.raises(AttributeError):
-                getattr(repro, name)
-        with pytest.raises(TypeError, match="split_strategy"):
-            QOCOConfig(split_strategy=NaiveSplit())
-        with pytest.raises(TypeError, match="deletion_strategy"):
-            QOCO(fig1_dirty, fig1_oracle, deletion_strategy="random")
-        with pytest.raises(TypeError, match="insertion_config"):
-            ParallelQOCO(fig1_dirty, fig1_oracle, insertion_config=None)
-        with pytest.raises(TypeError, match="split_strategy"):
-            AggregateQOCO(fig1_dirty, fig1_oracle, split_strategy="naive")
         with pytest.raises(TypeError, match="QOCOConfig"):
             ParallelQOCO(fig1_dirty, fig1_oracle, NaiveSplit())
+
+    def test_positional_deletion_strategy_is_a_type_error(self, fig1_dirty, fig1_oracle):
+        from repro.core.deletion import RandomDeletion
+
         with pytest.raises(TypeError, match="QOCOConfig"):
             UCQCleaner(fig1_dirty, fig1_oracle, RandomDeletion())
+
+    def test_old_report_names_are_gone(self):
+        with pytest.raises(AttributeError):
+            repro.CleaningReport
+        with pytest.raises(ImportError):
+            from repro.core.parallel import ParallelReport  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.core.session import CleaningReport  # noqa: F401
 
 
 class TestUnifiedConfig:
@@ -243,6 +255,21 @@ class TestStrategyRegistry:
         assert "provenance" in REGISTRY.names("split")
         assert "responsibility" in REGISTRY.names("deletion")
         assert "bandit" in REGISTRY.names("planner")
+
+    def test_legacy_config_kwargs_are_type_errors(self, fig1_dirty, fig1_oracle):
+        from repro.aggregates import AggregateQOCO
+        from repro.core.split import NaiveSplit
+
+        with pytest.raises(TypeError, match="split_strategy"):
+            QOCOConfig(split_strategy=NaiveSplit())
+        with pytest.raises(TypeError, match="deletion_strategy"):
+            QOCOConfig(deletion_strategy="random")
+        with pytest.raises(TypeError, match="deletion_strategy"):
+            QOCO(fig1_dirty, fig1_oracle, deletion_strategy="random")
+        with pytest.raises(TypeError, match="insertion_config"):
+            ParallelQOCO(fig1_dirty, fig1_oracle, insertion_config=None)
+        with pytest.raises(TypeError, match="split_strategy"):
+            AggregateQOCO(fig1_dirty, fig1_oracle, split_strategy="naive")
 
     def test_unknown_config_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
