@@ -8,8 +8,9 @@ brings both constraint languages onto the machinery PRs 1-9 built:
 
 * :mod:`repro.constraints.ast` — :class:`FD` (``R: X -> Y``) and
   :class:`DenialConstraint` (a forbidden conjunctive-query body);
-* :mod:`repro.constraints.violations` — the detector: every constraint
-  compiles to boolean conjunctive queries and runs on any
+* :mod:`repro.constraints.violations` — the detector: an FD is checked
+  in one pass over the blocks of facts agreeing on its LHS, and a
+  denial constraint runs as a boolean conjunctive query on any
   :class:`~repro.query.backend.EvalBackend` (columnar/SQL included);
 * :mod:`repro.constraints.repair` — the candidate-repair enumerator:
   violations form a hypergraph over facts, minimal deletion repairs are

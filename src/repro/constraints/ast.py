@@ -10,9 +10,11 @@ Both constraint kinds reduce to *forbidden conjunctive-query bodies*:
   instance.
 
 Keeping the compiled form a plain :class:`~repro.query.ast.Query` means
-violation detection inherits every evaluation substrate behind
-:class:`~repro.query.backend.EvalBackend` for free: a violation check is
-just a boolean CQ whose witnesses are the violating tuple sets.
+a denial constraint's detection inherits every evaluation substrate
+behind :class:`~repro.query.backend.EvalBackend` for free: its check is
+just a boolean CQ whose witnesses are the violating tuple sets.  FDs are
+detected by LHS blocks instead (:mod:`repro.constraints.violations`);
+their CQ form stays as the reference that detector is tested against.
 """
 
 from __future__ import annotations

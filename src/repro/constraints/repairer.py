@@ -123,6 +123,24 @@ def _as_accounting(oracle: Oracle) -> AccountingOracle:
     return oracle if isinstance(oracle, AccountingOracle) else AccountingOracle(oracle)
 
 
+def _drop_edges(
+    edges: list[frozenset[Fact]], fact: Fact, degree: dict[Fact, int]
+) -> list[frozenset[Fact]]:
+    """The edges without *fact*; each dropped edge's facts lose a degree."""
+    kept = []
+    for edge in edges:
+        if fact not in edge:
+            kept.append(edge)
+            continue
+        for member in edge:
+            left = degree[member] - 1
+            if left:
+                degree[member] = left
+            else:
+                del degree[member]
+    return kept
+
+
 class OracleRepairer:
     """Repairs constraint violations by asking the oracle which facts lie.
 
@@ -139,8 +157,10 @@ class OracleRepairer:
         objects, FD strings (``"games: date -> winner"``), or an
         iterable of either.
     backend:
-        Evaluation substrate for violation detection (``EvalBackend``
-        name or instance; default the reference engine).
+        Evaluation substrate for denial-constraint detection
+        (``EvalBackend`` name or instance; default the reference
+        engine).  FDs are detected by LHS blocks and never run an
+        engine (see :func:`~repro.constraints.violations.find_violations`).
     updates:
         Attempt FD value-update repairs: when a pair's false side is
         known and its partner certified true, ask whether the corrected
@@ -226,6 +246,13 @@ class OracleRepairer:
                 pair_context.setdefault(violation.facts, violation)
         #: facts the oracle certified true in this round
         certified: set[Fact] = set()
+        # live edges per fact, kept current as edges are dropped or
+        # shrunk; a fact leaves the table when it is on no live edge
+        degree: dict[Fact, int] = {}
+        for edge in edges:
+            for fact in edge:
+                degree[fact] = degree.get(fact, 0) + 1
+        labels = {fact: repr(fact) for fact in degree}
         while edges:
             # 1. singleton edges are free: their fact is certainly false
             singleton = next((e for e in edges if len(e) == 1), None)
@@ -237,7 +264,7 @@ class OracleRepairer:
                 report.free_deletions += 1
                 if _TELEMETRY.enabled:
                     _TELEMETRY.count("constraints.free_deletions")
-                edges = [e for e in edges if fact not in e]
+                edges = _drop_edges(edges, fact, degree)
                 continue
             # 2. budget gate before the next paid question
             spent = self.oracle.log.total_cost - cost_before
@@ -245,10 +272,13 @@ class OracleRepairer:
             if self.budget is not None and self.budget.exhausted(spent, elapsed):
                 self._degrade(edges, report)
                 return
-            # 3. ask about the most shared fact (cache makes repeats free)
-            fact = self._most_frequent(edges)
+            # 3. ask about the fact on the most edges; at equal degree a
+            # known verdict (a free, cached question) goes first
+            knows = self.oracle.knows_fact
+            fact = max(degree, key=lambda f: (degree[f], knows(f), labels[f]))
             if self.oracle.verify_fact(fact):
                 certified.add(fact)
+                del degree[fact]
                 shrunk = []
                 for edge in edges:
                     if fact in edge:
@@ -267,21 +297,9 @@ class OracleRepairer:
                 self._delete(fact, report)
                 if self.updates:
                     self._try_update(fact, pair_context, certified, report)
-                edges = [e for e in edges if fact not in e]
+                edges = _drop_edges(edges, fact, degree)
 
     # ------------------------------------------------------------------
-    def _most_frequent(self, edges: list[frozenset[Fact]]) -> Fact:
-        """The fact on the most edges; known verdicts first so cached
-        questions (free) are preferred over fresh ones at equal degree."""
-        counts: dict[Fact, int] = {}
-        for edge in edges:
-            for fact in edge:
-                counts[fact] = counts.get(fact, 0) + 1
-        return max(
-            counts,
-            key=lambda f: (counts[f], self.oracle.knows_fact(f), repr(f)),
-        )
-
     def _delete(self, fact: Fact, report: RepairReport) -> None:
         if self.database.delete(fact):
             report.edits.append(delete_edit(fact))

@@ -94,16 +94,49 @@ class StrategyRegistry:
     def name_of(self, kind: str, instance: Any) -> Optional[str]:
         """The canonical name that rebuilds *instance*, or ``None``.
 
-        Only an instance whose class is itself a registered factory maps
-        back: a name bound to any other factory (e.g. a lambda supplying
-        constructor arguments) would rebuild a different object.
+        A name maps back only when its factory is the instance's class
+        and ``factory()`` builds an object in the same state (see
+        :meth:`_same_state`): ``ProvenanceSplit()`` is ``"provenance"``,
+        but ``ProvenanceSplit(fallback=MinCutSplit())`` has no name,
+        because the name would rebuild a different fallback.  A name
+        bound to any other factory (e.g. a lambda supplying constructor
+        arguments) would rebuild a different object too.
         """
         self._ensure_kind(kind)
         with self._lock:
-            for key, factory in self._entries.get(kind, {}).items():
-                if factory is type(instance):
-                    return self._display[kind][key]
+            candidates = [
+                (self._display[kind][key], factory)
+                for key, factory in self._entries.get(kind, {}).items()
+                if factory is type(instance)
+            ]
+        for name, factory in candidates:
+            if self._same_state(instance, factory()):
+                return name
         return None
+
+    def _same_state(self, first: Any, second: Any) -> bool:
+        """Same type and equal ``vars()``; values that are registered
+        strategies are compared the same way, anything else by ``==``."""
+        if type(first) is not type(second):
+            return False
+        mine, theirs = vars(first), vars(second)
+        if mine.keys() != theirs.keys():
+            return False
+        return all(
+            self._same_state(value, theirs[key])
+            if self._is_strategy(value)
+            else value == theirs[key]
+            for key, value in mine.items()
+        )
+
+    def _is_strategy(self, value: Any) -> bool:
+        """Whether *value*'s class is a registered factory of any kind."""
+        with self._lock:
+            return any(
+                factory is type(value)
+                for table in self._entries.values()
+                for factory in table.values()
+            )
 
     # ------------------------------------------------------------------
     # internals

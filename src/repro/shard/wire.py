@@ -50,8 +50,9 @@ def _strategy_name(kind: str, spec: Any) -> str:
     if name is None:
         raise ShardingError(
             f"{kind} strategy {spec!r} has no registered wire name; sharded "
-            f"cleaning needs an instance of a class registered as one of "
-            f"{REGISTRY.names(kind)}"
+            f"cleaning needs an instance that one of {REGISTRY.names(kind)} "
+            f"rebuilds (a registered class with its default constructor "
+            f"arguments)"
         )
     return name
 

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.api as api
-from repro.constraints import find_violations
+from repro.constraints.violations import query_violations
 from repro.datasets.worldcup import WorldCupConfig, worldcup_database
 from repro.db.database import Database, DatabaseListener
 from repro.db.schema import RelationSchema, Schema
@@ -298,7 +298,7 @@ def test_throwaway_backends_leave_no_store_or_listener(created_stores):
     fds = ["games: date -> winner, runner_up, stage, result"]
     for _ in range(20):
         api.evaluate(database, Q3, backend="columnar")
-        assert find_violations(database, fds, backend="columnar") == []
+        assert query_violations(database, fds, backend="columnar") == []
     assert len(created_stores) == 0
     assert database._listeners == []
     victim = sorted(database.facts("teams"))[0]

@@ -97,6 +97,18 @@ class TestConfigWire:
         with pytest.raises(ShardingError, match="deletion"):
             wire.config_to_obj(QOCOConfig(deletion=TrustScoreDeletion({})))
 
+    def test_non_default_constructor_arguments_rejected(self):
+        from repro.core.split import MinCutSplit, ProvenanceSplit, RandomSplit
+
+        # the name "provenance" would rebuild a RandomSplit fallback
+        with pytest.raises(ShardingError, match="split"):
+            wire.config_to_obj(
+                QOCOConfig(split=ProvenanceSplit(fallback=MinCutSplit()))
+            )
+        for default in (ProvenanceSplit(), ProvenanceSplit(fallback=RandomSplit())):
+            obj = wire.config_to_obj(QOCOConfig(split=default))
+            assert obj["split_strategy"] == "provenance"
+
     def test_roundtrip_string_names_and_planner(self):
         config = QOCOConfig(
             deletion="responsibility", split="mincut", planner="bandit", seed=3
