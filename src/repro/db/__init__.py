@@ -1,35 +1,16 @@
 """Relational substrate: schemas, facts, databases, edits, constraints, IO."""
 
-from .constraints import ConstraintSet, ForeignKey, Key
-from .database import ANY, Database
-from .edits import Edit, EditKind, apply_edits, delete, insert
-from .fork import DatabaseFork, ForkError
-from .io import load_csv, load_json, save_csv, save_json
-from .schema import RelationSchema, Schema, SchemaError
-from .tuples import Constant, Fact, fact, facts
+from .. import _lazy_exports
 
-__all__ = [
-    "ANY",
-    "Constant",
-    "ConstraintSet",
-    "Database",
-    "DatabaseFork",
-    "Edit",
-    "EditKind",
-    "Fact",
-    "ForkError",
-    "ForeignKey",
-    "Key",
-    "RelationSchema",
-    "Schema",
-    "SchemaError",
-    "apply_edits",
-    "delete",
-    "fact",
-    "facts",
-    "insert",
-    "load_csv",
-    "load_json",
-    "save_csv",
-    "save_json",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".constraints": ("ConstraintSet", "ForeignKey", "Key"),
+        ".database": ("ANY", "Database"),
+        ".edits": ("Edit", "EditKind", "apply_edits", "delete", "insert"),
+        ".fork": ("DatabaseFork", "ForkError"),
+        ".io": ("load_csv", "load_json", "save_csv", "save_json"),
+        ".schema": ("RelationSchema", "Schema", "SchemaError"),
+        ".tuples": ("Constant", "Fact", "fact", "facts"),
+    },
+)

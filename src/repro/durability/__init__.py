@@ -19,25 +19,15 @@ See ``docs/durability.md`` for the record format, fsync policies, and
 recovery invariants; ``tests/test_durability.py`` pins the crash matrix.
 """
 
-from .checkpoint import Checkpointer
-from .crash import CrashMatrixReport, CrashPoint, run_crash_matrix
-from .recovery import RecoveredState, recover, recover_manager
-from .store import DurabilityError, DurabilityStore
-from .wal import SYNC_POLICIES, WalError, WalReadResult, WalWriter, read_wal
+from .. import _lazy_exports
 
-__all__ = [
-    "Checkpointer",
-    "CrashMatrixReport",
-    "CrashPoint",
-    "DurabilityError",
-    "DurabilityStore",
-    "RecoveredState",
-    "SYNC_POLICIES",
-    "WalError",
-    "WalReadResult",
-    "WalWriter",
-    "read_wal",
-    "recover",
-    "recover_manager",
-    "run_crash_matrix",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".checkpoint": ("Checkpointer",),
+        ".crash": ("CrashMatrixReport", "CrashPoint", "run_crash_matrix"),
+        ".recovery": ("RecoveredState", "recover", "recover_manager"),
+        ".store": ("DurabilityError", "DurabilityStore"),
+        ".wal": ("SYNC_POLICIES", "WalError", "WalReadResult", "WalWriter", "read_wal"),
+    },
+)

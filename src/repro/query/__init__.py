@@ -1,108 +1,31 @@
 """Conjunctive queries with inequalities: AST, parser, evaluation."""
 
-from .ast import Atom, Inequality, Query, QueryError, Term, Var, make_query
-from .backend import (
-    BackendEvaluator,
-    Capabilities,
-    EvalBackend,
-    EvalResult,
-    FallbackBackend,
-    NaiveBackend,
-    available_backends,
-    backend_evaluate,
-    create_backend,
-    register_backend,
-    resolve_backend,
-)
-from .evaluator import (
-    Answer,
-    Assignment,
-    Evaluator,
-    Witness,
-    answer_to_partial,
-    evaluate,
-    instantiate_head,
-    is_satisfiable,
-    naive_evaluate,
-    valid_assignments,
-    witness_of,
-    witnesses_for,
-)
-from .graph import QueryGraph, build_query_graph
-from .incremental import (
-    IncrementalAnswers,
-    assignments_using_fact,
-    supports_incremental,
-)
-from .minimize import are_equivalent, is_contained_in, minimize
-from .parser import ParseError, parse_queries, parse_query
-from .union import (
-    UnionQuery,
-    evaluate_union,
-    make_union,
-    parse_union,
-    union_from_queries,
-)
-from .subquery import (
-    embed_answer,
-    ground_atoms,
-    is_subquery,
-    split_by_partition,
-    subquery,
-    unique_variables,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Answer",
-    "Assignment",
-    "Atom",
-    "BackendEvaluator",
-    "Capabilities",
-    "EvalBackend",
-    "EvalResult",
-    "Evaluator",
-    "FallbackBackend",
-    "NaiveBackend",
-    "available_backends",
-    "backend_evaluate",
-    "create_backend",
-    "register_backend",
-    "resolve_backend",
-    "IncrementalAnswers",
-    "Inequality",
-    "ParseError",
-    "Query",
-    "QueryError",
-    "QueryGraph",
-    "Term",
-    "UnionQuery",
-    "Var",
-    "Witness",
-    "answer_to_partial",
-    "are_equivalent",
-    "assignments_using_fact",
-    "supports_incremental",
-    "build_query_graph",
-    "is_contained_in",
-    "minimize",
-    "embed_answer",
-    "evaluate",
-    "evaluate_union",
-    "ground_atoms",
-    "make_union",
-    "parse_union",
-    "union_from_queries",
-    "instantiate_head",
-    "is_satisfiable",
-    "is_subquery",
-    "make_query",
-    "naive_evaluate",
-    "parse_queries",
-    "parse_query",
-    "split_by_partition",
-    "subquery",
-    "unique_variables",
-    "valid_assignments",
-    "witness_of",
-    "witnesses_for",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".ast": ("Atom", "Inequality", "Query", "QueryError", "Term", "Var", "make_query"),
+        ".backend": (
+            "BackendEvaluator", "Capabilities", "EvalBackend", "EvalResult", "FallbackBackend",
+            "NaiveBackend", "available_backends", "backend_evaluate", "create_backend",
+            "register_backend", "resolve_backend",
+        ),
+        ".evaluator": (
+            "Answer", "Assignment", "Evaluator", "Witness", "answer_to_partial", "evaluate",
+            "instantiate_head", "is_satisfiable", "naive_evaluate", "valid_assignments",
+            "witness_of", "witnesses_for",
+        ),
+        ".graph": ("QueryGraph", "build_query_graph"),
+        ".incremental": ("IncrementalAnswers", "assignments_using_fact", "supports_incremental"),
+        ".minimize": ("are_equivalent", "is_contained_in", "minimize"),
+        ".parser": ("ParseError", "parse_queries", "parse_query"),
+        ".union": (
+            "UnionQuery", "evaluate_union", "make_union", "parse_union", "union_from_queries",
+        ),
+        ".subquery": (
+            "embed_answer", "ground_atoms", "is_subquery", "split_by_partition", "subquery",
+            "unique_variables",
+        ),
+    },
+)

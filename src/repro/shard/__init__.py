@@ -6,31 +6,17 @@ protocol, and the conditions under which a sharded clean is
 bit-identical (``state_digest``) to a single-process one.
 """
 
-from .driver import ShardedQOCO, ShardOutcome, ShardReport
-from .partition import (
-    KeySpec,
-    PartitionSpec,
-    ShardingError,
-    payload_to_database,
-    register_key_extractor,
-    shard_of_key,
-)
-from .router import QuestionRouter
-from .worker import LatencyOracle, ProxyOracle, run_shard, shard_worker_main
+from .. import _lazy_exports
 
-__all__ = [
-    "KeySpec",
-    "LatencyOracle",
-    "PartitionSpec",
-    "ProxyOracle",
-    "QuestionRouter",
-    "ShardOutcome",
-    "ShardReport",
-    "ShardedQOCO",
-    "ShardingError",
-    "payload_to_database",
-    "register_key_extractor",
-    "run_shard",
-    "shard_of_key",
-    "shard_worker_main",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        ".driver": ("ShardedQOCO", "ShardOutcome", "ShardReport"),
+        ".partition": (
+            "KeySpec", "PartitionSpec", "ShardingError", "payload_to_database",
+            "register_key_extractor", "shard_of_key",
+        ),
+        ".router": ("QuestionRouter",),
+        ".worker": ("LatencyOracle", "ProxyOracle", "run_shard", "shard_worker_main"),
+    },
+)

@@ -61,10 +61,9 @@ def _check_spawn_safe_main() -> None:
     by module name when ``__spec__`` is set, else by ``__file__`` path).
     A path that does not exist on disk — a heredoc / ``python -`` stdin
     script leaves ``__file__ == '<stdin>'`` — makes every worker crash
-    *before* it reads its payload, and with payloads larger than the pipe
-    buffer the parent then deadlocks inside ``Process.start()`` (it still
-    holds the pipe's read end while writing, so the write never fails).
-    Failing up front turns that silent hang into an actionable error.
+    *before* it reads its payload.  The payload send would then fail with
+    an error that says only that a worker exited; failing up front names
+    the cause and the fix.
     """
     main = sys.modules.get("__main__")
     if main is None or getattr(getattr(main, "__spec__", None), "name", None):
@@ -79,6 +78,14 @@ def _check_spawn_safe_main() -> None:
             f"scripts cannot host spawn parents); run from a real file or "
             f"module, or use mode='inline'"
         )
+
+
+def _send(conn, shard: int, message, what: str) -> None:
+    """Send *message* to *shard*'s worker, which must still be running."""
+    try:
+        conn.send(message)
+    except OSError as exc:  # BrokenPipeError / ConnectionResetError
+        raise ShardingError(f"shard {shard} worker exited before reading its {what}") from exc
 
 
 @dataclass
@@ -276,6 +283,9 @@ class ShardedQOCO:
     ) -> dict[int, dict]:
         """Spawn one worker process per target shard and broker questions.
 
+        Every worker is started before any payload is sent.  A payload is
+        the first message on its worker's pipe, read once the worker has
+        imported its modules, so the workers start up concurrently.
         ``complete_result`` questions are deferred until every worker has
         registered its initial answer set — the scoping in
         :class:`QuestionRouter` needs the full union of ``Q(D_shard)``.
@@ -284,6 +294,7 @@ class ShardedQOCO:
         context = mp.get_context("spawn")
         connections: dict[int, object] = {}
         processes: dict[int, object] = {}
+        started: dict[int, float] = {}
         expected = set(targets)
         registered: set[int] = set()
         deferred: list[tuple[int, dict]] = []
@@ -291,18 +302,19 @@ class ShardedQOCO:
         try:
             for shard in targets:
                 parent_conn, child_conn = context.Pipe()
-                payload = self._payload_for(
-                    payloads[shard], query_obj, config_obj, telemetry=True
-                )
                 process = context.Process(
-                    target=shard_worker_main,
-                    args=(child_conn, shard, payload),
-                    daemon=True,
+                    target=shard_worker_main, args=(child_conn, shard), daemon=True
                 )
+                started[shard] = time.perf_counter()
                 process.start()
                 child_conn.close()
                 connections[shard] = parent_conn
                 processes[shard] = process
+            for shard in targets:
+                payload = self._payload_for(
+                    payloads[shard], query_obj, config_obj, telemetry=True
+                )
+                _send(connections[shard], shard, payload, "payload")
             live = dict(connections)
             by_conn = {conn: shard for shard, conn in connections.items()}
             while live:
@@ -316,14 +328,20 @@ class ShardedQOCO:
                         )
                     tag = message[0]
                     if tag == "register":
+                        if _TELEMETRY.enabled:
+                            _TELEMETRY.observe(
+                                "shard.worker_ready_s", time.perf_counter() - started[shard]
+                            )
                         self.router.register(
                             shard, wire.answers_from_obj(message[2])
                         )
                         registered.add(shard)
                         if registered >= expected:
                             for asking_shard, question in deferred:
-                                connections[asking_shard].send(
-                                    ("reply", self.router.answer(asking_shard, question))
+                                reply = self.router.answer(asking_shard, question)
+                                _send(
+                                    connections[asking_shard], asking_shard,
+                                    ("reply", reply), "reply",
                                 )
                             deferred = []
                     elif tag == "ask":
@@ -334,7 +352,8 @@ class ShardedQOCO:
                         ):
                             deferred.append((shard, question))
                         else:
-                            conn.send(("reply", self.router.answer(shard, question)))
+                            reply = self.router.answer(shard, question)
+                            _send(conn, shard, ("reply", reply), "reply")
                     elif tag == "done":
                         results[shard] = message[2]
                         del live[shard]

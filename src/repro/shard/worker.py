@@ -162,13 +162,16 @@ def run_shard(
     }
 
 
-def shard_worker_main(conn, shard: int, payload: dict) -> None:
+def shard_worker_main(conn, shard: int) -> None:
     """``multiprocessing`` entry point (spawn-safe: module-level, plain
-    picklable arguments)."""
-    from ..telemetry import TELEMETRY
+    picklable arguments).
 
-    if payload.get("telemetry"):
-        TELEMETRY.enable()
+    The shard payload is the first message on *conn*, not a process
+    argument: ``Process.start()`` then returns without waiting for this
+    process to import its modules, and the parent starts every worker
+    before it sends any payload.
+    """
+    from ..telemetry import TELEMETRY
 
     def ask(question_obj: dict) -> dict:
         conn.send(("ask", shard, question_obj))
@@ -181,6 +184,9 @@ def shard_worker_main(conn, shard: int, payload: dict) -> None:
         conn.send(("register", shard, answers_obj))
 
     try:
+        payload = conn.recv()
+        if payload.get("telemetry"):
+            TELEMETRY.enable()
         result = run_shard(payload, ask, on_ready)
         if payload.get("telemetry"):
             result["telemetry"] = TELEMETRY.snapshot()

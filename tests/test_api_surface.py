@@ -8,6 +8,10 @@ should be a reviewed decision, not an accident.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -140,6 +144,58 @@ class TestSurfaceSnapshot:
             assert getattr(repro, name) is not None
         for name in repro.api.__all__:
             assert getattr(repro.api, name) is not None
+
+
+def _fresh_import(statement: str) -> list[str]:
+    """The modules loaded, or the names bound, after *statement* runs in
+    a fresh interpreter that prints them as ``RESULT``."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = root + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{statement}\nprint(json.dumps(RESULT))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportFootprint:
+    """The package exports are lazy: an import loads what it uses."""
+
+    #: subsystems a shard worker never runs
+    NOT_IN_A_WORKER = [
+        "repro.api", "repro.server", "repro.service", "repro.dispatch", "repro.datasets",
+        "repro.ingest", "repro.constraints", "repro.plan", "repro.crowdsim",
+        "repro.experiments", "numpy",
+    ]
+
+    def test_import_repro_loads_no_submodule(self):
+        loaded = _fresh_import("import repro\nRESULT = sorted(sys.modules)")
+        assert [name for name in loaded if name.split(".")[0] == "repro"] == ["repro"]
+
+    def test_shard_worker_loads_only_what_it_runs(self):
+        loaded = _fresh_import("import repro.shard.worker\nRESULT = sorted(sys.modules)")
+        assert "repro.shard.worker" in loaded
+        unexpected = [
+            name for name in loaded
+            if any(name == top or name.startswith(top + ".") for top in self.NOT_IN_A_WORKER)
+        ]
+        assert unexpected == []
+
+    def test_names_that_shadow_their_submodule_stay_functions(self):
+        # the cleaning core imports repro.query.subquery; that import must
+        # not rebind the package's subquery() function to the module
+        kinds = _fresh_import(
+            "import repro.core.insertion, repro.core.qoco\n"
+            "from repro.query import minimize, subquery\n"
+            "RESULT = [type(minimize).__name__, type(subquery).__name__]"
+        )
+        assert kinds == ["function", "function"]
+
+    def test_star_import_binds_the_surface(self):
+        bound = _fresh_import("from repro import *\nRESULT = sorted(globals())")
+        assert set(PACKAGE_SURFACE) <= set(bound)
 
 
 class TestDeprecationShims:

@@ -9,6 +9,14 @@ completions are answered by the parent.
 
 from __future__ import annotations
 
+import json
+import multiprocessing as mp
+import os
+import subprocess
+import sys
+import textwrap
+from multiprocessing.context import SpawnProcess
+
 import pytest
 
 from repro.core.qoco import QOCO, QOCOConfig
@@ -26,6 +34,7 @@ from repro.dispatch.dedup import AnswerBoard
 from repro.oracle.perfect import PerfectOracle
 from repro.query.parser import parse_query
 from repro.shard import PartitionSpec, KeySpec, ShardedQOCO, ShardingError
+from repro.telemetry import telemetry_session
 
 Q3 = parse_query(
     'q3(x) :- games(d1, x, y, s1, u1), stages(s1, "KO"), teams(x, c), c != "AS".'
@@ -255,3 +264,149 @@ class TestProcessMode:
                 db, PerfectOracle(db), spec=SPEC, shards=2, mode="process",
                 config=QOCOConfig(scheduler_factory=lambda: None),
             ).clean(QP)
+
+    @pytest.mark.parametrize("keys", [2, 20_000])
+    def test_worker_dead_before_its_payload_raises(self, monkeypatch, keys):
+        # 4 and 40,000 facts: a payload that fits in the pipe buffer and
+        # one that does not; neither may surface as a raw BrokenPipeError
+        db = _db([(k, f"x{k}") for k in range(keys)], [(f"x{k}", "y") for k in range(keys)])
+        start = SpawnProcess.start
+        started = []
+
+        def start_then_kill_the_second(process):
+            start(process)
+            started.append(process)
+            if len(started) == 2:
+                process.kill()
+                process.join(timeout=30)
+
+        monkeypatch.setattr(SpawnProcess, "start", start_then_kill_the_second)
+        with pytest.raises(ShardingError, match="shard 1 worker exited"):
+            ShardedQOCO(
+                db, PerfectOracle(db.copy()), spec=SPEC, shards=2, mode="process"
+            ).clean(QP)
+        assert len(started) == 2
+        assert mp.active_children() == []
+
+    def test_worker_ready_seconds_recorded_per_started_worker(self):
+        truth = _db([(k, f"x{k}") for k in range(8)], [(f"x{k}", "y") for k in range(8)])
+        dirty = _db(
+            [(k, f"x{k}") for k in range(8) if k != 2] + [(11, "x0")],
+            [(f"x{k}", "y") for k in range(8)],
+        )
+
+        def clean():
+            return ShardedQOCO(
+                dirty.copy(), PerfectOracle(truth), spec=SPEC, shards=2, mode="process"
+            ).clean(QP)
+
+        with telemetry_session() as (hub, _):
+            report = clean()
+            ready = hub.histogram("shard.worker_ready_s")
+            assert ready.count == len(report.outcomes) == 2
+            assert ready.minimum > 0
+            hub.reset()
+            hub.disable()
+            clean()
+            assert hub.histogram("shard.worker_ready_s").count == 0
+
+    def test_workers_under_their_own_hash_seeds_match_inline(self, tmp_path):
+        # each worker spawns under its own PYTHONHASHSEED and the parent
+        # under another: set iteration order differs in every process,
+        # yet the clean must equal the inline run bit for bit
+        script = tmp_path / "hash_seeds.py"
+        script.write_text(HASH_SEED_SCRIPT)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = "5"
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [run["worker_seeds"] for run in runs] == [[0, 1], [2, 3], [7, 11]]
+        for run in runs:
+            inline, process = run["inline"], run["process"]
+            assert process["digest"] == inline["digest"] == run["unsharded_digest"]
+            assert process["total_cost"] == inline["total_cost"]
+            assert process["edit_logs"] == inline["edit_logs"]
+            # the order follows how the workers' questions interleave
+            assert sorted(process["questions"]) == sorted(inline["questions"])
+
+
+HASH_SEED_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import os
+    from multiprocessing.context import SpawnProcess
+
+    from repro.core.qoco import QOCO
+    from repro.datasets.worldcup import (
+        WorldCupConfig,
+        inject_fake_champions,
+        worldcup_database,
+        worldcup_partition_spec,
+        worldcup_years,
+    )
+    from repro.oracle.perfect import PerfectOracle
+    from repro.shard import ShardedQOCO
+    from repro.workloads import Q3
+
+    START = SpawnProcess.start
+
+
+    def start_under(seeds):
+        pending = iter(seeds)
+
+        def start(process):
+            saved = os.environ.get("PYTHONHASHSEED")
+            os.environ["PYTHONHASHSEED"] = str(next(pending))
+            try:
+                START(process)
+            finally:
+                if saved is None:
+                    del os.environ["PYTHONHASHSEED"]
+                else:
+                    os.environ["PYTHONHASHSEED"] = saved
+
+        return start
+
+
+    def clean(truth, dirty, mode):
+        merged = dirty.copy()
+        report = ShardedQOCO(
+            merged, PerfectOracle(truth), spec=worldcup_partition_spec(),
+            shards=2, mode=mode,
+        ).clean(Q3)
+        return {
+            "digest": merged.state_digest(),
+            "total_cost": report.total_cost,
+            "edit_logs": {str(shard): log for shard, log in report.edit_logs.items()},
+            "questions": [json.dumps(row, sort_keys=True) for row in report.log.to_dicts()],
+        }
+
+
+    if __name__ == "__main__":
+        for seed, worker_seeds in ((1, (0, 1)), (2, (2, 3)), (3, (7, 11))):
+            config = WorldCupConfig(seed=seed, replicas=2)
+            truth = worldcup_database(config)
+            dirty = truth.copy()
+            inject_fake_champions(dirty, worldcup_years(config)[seed % 2::2])
+            unsharded = dirty.copy()
+            QOCO(unsharded, PerfectOracle(truth)).clean(Q3)
+            inline = clean(truth, dirty, "inline")
+            SpawnProcess.start = start_under(worker_seeds)
+            try:
+                process = clean(truth, dirty, "process")
+            finally:
+                SpawnProcess.start = START
+            print(json.dumps({
+                "worker_seeds": list(worker_seeds),
+                "unsharded_digest": unsharded.state_digest(),
+                "inline": inline,
+                "process": process,
+            }))
+    """
+)

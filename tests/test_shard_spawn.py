@@ -212,9 +212,9 @@ driver.clean(parse_query("q(k, x) :- m(k, x)."))
 
     def test_stdin_hosted_parent_fails_fast(self):
         # spawn re-runs __main__ in every worker; a stdin script has no
-        # file to re-run, so workers would crash pre-payload and the
-        # parent would deadlock in Process.start().  The driver must
-        # refuse up front instead (and well inside this test's timeout).
+        # file to re-run, so workers would crash before reading their
+        # payloads.  The driver must refuse up front, naming the cause
+        # (and well inside this test's timeout).
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
