@@ -30,9 +30,10 @@ gates (oracle-guided must ask strictly fewer questions).
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from ..core.registry import REGISTRY
 from ..db.database import Database
@@ -123,22 +124,112 @@ def _as_accounting(oracle: Oracle) -> AccountingOracle:
     return oracle if isinstance(oracle, AccountingOracle) else AccountingOracle(oracle)
 
 
-def _drop_edges(
-    edges: list[frozenset[Fact]], fact: Fact, degree: dict[Fact, int]
-) -> list[frozenset[Fact]]:
-    """The edges without *fact*; each dropped edge's facts lose a degree."""
-    kept = []
-    for edge in edges:
-        if fact not in edge:
-            kept.append(edge)
-            continue
-        for member in edge:
-            left = degree[member] - 1
-            if left:
-                degree[member] = left
-            else:
-                del degree[member]
-    return kept
+class _LiveEdges:
+    """One round's violation hypergraph, indexed for the repair loop.
+
+    Edges keep their list position for the whole round: a dropped edge
+    becomes ``None`` and a shrunk one is replaced in place, so "first in
+    list order" is "lowest position".  Each fact knows the positions of
+    the edges that hold it and its degree (how many live edges hold it);
+    a fact leaves the degree table when no live edge holds it.
+
+    The next question is ``max(degree, key=(degree, knows, label))``
+    over the table in insertion order: the fact on the most live edges,
+    at equal degree one with a known (free, cached) verdict, then the
+    largest ``repr``, and at equal labels the first in the table.  A
+    heap keeps that order: ``rank`` folds label and table order into
+    one number, an entry is pushed whenever a fact's degree or verdict
+    changes while it can still be asked about, and entries that no
+    longer match their fact are skipped.
+    """
+
+    def __init__(self, edges: list[frozenset[Fact]], knows: Callable[[Fact], bool]) -> None:
+        self._edges: list[Optional[frozenset[Fact]]] = list(edges)
+        self._remaining = len(edges)
+        self._knows = knows
+        self._degree: dict[Fact, int] = {}
+        self._holding: dict[Fact, list[int]] = {}
+        for position, edge in enumerate(edges):
+            for fact in edge:
+                self._degree[fact] = self._degree.get(fact, 0) + 1
+                self._holding.setdefault(fact, []).append(position)
+        #: (position, fact) of every singleton edge, lowest position on top
+        self._singletons = [
+            (position, next(iter(edge))) for position, edge in enumerate(edges) if len(edge) == 1
+        ]
+        ordered = sorted(self._degree, key=repr, reverse=True)  # stable: table order kept
+        self._rank = {fact: rank for rank, fact in enumerate(ordered)}
+        self._choices = [self._entry(fact) for fact in self._degree]
+        heapq.heapify(self._choices)
+
+    def __bool__(self) -> bool:
+        return self._remaining > 0
+
+    def live(self) -> list[frozenset[Fact]]:
+        """The live edges, in list order."""
+        return [edge for edge in self._edges if edge is not None]
+
+    def _entry(self, fact: Fact) -> tuple[int, bool, int, Fact]:
+        return (-self._degree[fact], not self._knows(fact), self._rank[fact], fact)
+
+    def pop_singleton(self) -> Optional[Fact]:
+        """The fact of the first live singleton edge, if there is one."""
+        singletons = self._singletons
+        while singletons:
+            position, fact = heapq.heappop(singletons)
+            if self._edges[position] is not None:
+                return fact
+        return None
+
+    def pop_choice(self) -> Fact:
+        """The fact to ask about next (see the class docstring)."""
+        while True:
+            top = heapq.heappop(self._choices)
+            fact = top[3]
+            if fact in self._degree and top == self._entry(fact):
+                return fact
+
+    def drop(self, fact: Fact) -> None:
+        """Drop every live edge holding *fact*; its members lose a degree."""
+        degree = self._degree
+        touched: set[Fact] = set()
+        for position in self._holding[fact]:
+            edge = self._edges[position]
+            if edge is None:
+                continue
+            self._edges[position] = None
+            self._remaining -= 1
+            for member in edge:
+                left = degree[member] - 1
+                if left:
+                    degree[member] = left
+                    touched.add(member)
+                else:
+                    del degree[member]
+        for member in touched:
+            if member in degree:
+                heapq.heappush(self._choices, self._entry(member))
+
+    def shrink(self, fact: Fact) -> list[Fact]:
+        """Remove certified-true *fact* from its edges.
+
+        Returns, in list order, the partner of every edge that shrank
+        to a singleton: each is now known false.  A partner's verdict
+        changes but it needs no new heap entry: it sits on a singleton
+        edge, so it is deleted before the next question.
+        """
+        del self._degree[fact]
+        partners = []
+        for position in self._holding[fact]:
+            edge = self._edges[position]
+            if edge is None:
+                continue
+            rest = self._edges[position] = frozenset(edge - {fact})
+            if len(rest) == 1:
+                (partner,) = rest
+                partners.append(partner)
+                heapq.heappush(self._singletons, (position, partner))
+        return partners
 
 
 class OracleRepairer:
@@ -238,7 +329,7 @@ class OracleRepairer:
         start: float,
     ) -> None:
         """Decide a repair for every edge of this round's hypergraph."""
-        edges = violation_hypergraph(violations)
+        graph = _LiveEdges(violation_hypergraph(violations), self.oracle.knows_fact)
         # Edges carry their FD context so updates know which cell differs.
         pair_context: dict[frozenset[Fact], Violation] = {}
         for violation in violations:
@@ -246,58 +337,39 @@ class OracleRepairer:
                 pair_context.setdefault(violation.facts, violation)
         #: facts the oracle certified true in this round
         certified: set[Fact] = set()
-        # live edges per fact, kept current as edges are dropped or
-        # shrunk; a fact leaves the table when it is on no live edge
-        degree: dict[Fact, int] = {}
-        for edge in edges:
-            for fact in edge:
-                degree[fact] = degree.get(fact, 0) + 1
-        labels = {fact: repr(fact) for fact in degree}
-        while edges:
+        while graph:
             # 1. singleton edges are free: their fact is certainly false
-            singleton = next((e for e in edges if len(e) == 1), None)
-            if singleton is not None:
-                (fact,) = singleton
+            fact = graph.pop_singleton()
+            if fact is not None:
                 self._delete(fact, report)
                 if self.updates:
                     self._try_update(fact, pair_context, certified, report)
                 report.free_deletions += 1
                 if _TELEMETRY.enabled:
                     _TELEMETRY.count("constraints.free_deletions")
-                edges = _drop_edges(edges, fact, degree)
+                graph.drop(fact)
                 continue
             # 2. budget gate before the next paid question
             spent = self.oracle.log.total_cost - cost_before
             elapsed = time.perf_counter() - start
             if self.budget is not None and self.budget.exhausted(spent, elapsed):
-                self._degrade(edges, report)
+                self._degrade(graph.live(), report)
                 return
             # 3. ask about the fact on the most edges; at equal degree a
             # known verdict (a free, cached question) goes first
-            knows = self.oracle.knows_fact
-            fact = max(degree, key=lambda f: (degree[f], knows(f), labels[f]))
+            fact = graph.pop_choice()
             if self.oracle.verify_fact(fact):
                 certified.add(fact)
-                del degree[fact]
-                shrunk = []
-                for edge in edges:
-                    if fact in edge:
-                        rest = frozenset(edge - {fact})
-                        if len(rest) == 1 and _TELEMETRY.enabled:
-                            _TELEMETRY.count("constraints.inferred")
-                        if len(rest) == 1:
-                            report.inferred += 1
-                            (partner,) = rest
-                            self.oracle.remember_fact(partner, False)
-                        shrunk.append(rest)
-                    else:
-                        shrunk.append(edge)
-                edges = shrunk
+                for partner in graph.shrink(fact):
+                    if _TELEMETRY.enabled:
+                        _TELEMETRY.count("constraints.inferred")
+                    report.inferred += 1
+                    self.oracle.remember_fact(partner, False)
             else:
                 self._delete(fact, report)
                 if self.updates:
                     self._try_update(fact, pair_context, certified, report)
-                edges = _drop_edges(edges, fact, degree)
+                graph.drop(fact)
 
     # ------------------------------------------------------------------
     def _delete(self, fact: Fact, report: RepairReport) -> None:

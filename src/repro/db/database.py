@@ -200,7 +200,7 @@ class Database:
         listener dispatch is skipped entirely — so with listeners
         subscribed this falls back to the loop, keeping maintained views
         exact.  The fast path for rebuilding shard databases in worker
-        processes.
+        processes and for loading CSV tables.
         """
         self._check_relation(relation)
         if self._listeners:

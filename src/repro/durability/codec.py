@@ -269,15 +269,28 @@ def database_from_obj(obj: dict) -> Database:
     return database
 
 
+#: ``json.dumps`` with non-default options builds a new encoder per
+#: call; the canonical options never change, so one encoder serves all
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=True)
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic rendering — the basis of every digest and checksum."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
+    return _CANONICAL.encode(obj)
+
+
+def obj_digest(obj: Any) -> str:
+    """The sha256 of ``canonical_json(obj)``."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def database_digest(database: Database) -> str:
-    """A stable content hash of the instance (schema + facts)."""
-    payload = canonical_json(database_to_obj(database))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """A stable content hash of the instance (schema + facts).
+
+    Equal to :func:`obj_digest` of :func:`database_to_obj`'s canonical
+    form, so a caller that already holds that form hashes it directly.
+    """
+    return obj_digest(database_to_obj(database))
 
 
 __all__ = [
@@ -302,6 +315,7 @@ __all__ = [
     "edits_to_obj",
     "fact_from_obj",
     "fact_to_obj",
+    "obj_digest",
     "query_from_obj",
     "query_to_obj",
     "term_from_obj",

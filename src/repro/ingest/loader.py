@@ -21,10 +21,9 @@ from typing import Optional, Sequence, Union
 
 from ..db.database import Database
 from ..db.schema import Schema
-from ..db.tuples import Fact
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .noise import NoisePipeline, Table
-from .sniffer import ColumnProfile, coerce_cell, sniffed_relation
+from .sniffer import ColumnProfile, coerce_cell, scan_table, sniffed_relation, typed_relation
 
 PathLike = Union[str, Path]
 
@@ -92,11 +91,21 @@ def load_table(
     header: Sequence[str],
     rows: Sequence[Sequence[str]],
 ) -> tuple[Database, list[ColumnProfile]]:
-    """An in-memory table as a one-relation database (with profiles)."""
-    rel_schema, profiles = sniffed_relation(relation, header, rows)
-    database = Database(Schema([rel_schema]))
-    for row in rows:
-        database.insert(Fact(relation, tuple(coerce_cell(cell) for cell in row)))
+    """An in-memory table as a one-relation database (with profiles).
+
+    One :func:`~repro.ingest.sniffer.scan_column` pass per column both
+    profiles the column and coerces its cells; the rows then go in
+    through :meth:`Database.bulk_load`, which loads them as an insert
+    loop would (duplicates collapse) and bumps the version once.
+    """
+    scans = scan_table(header, rows)
+    profiles = [profile for profile, _ in scans]
+    database = Database(Schema([typed_relation(relation, header, profiles)]))
+    if all(len(row) == len(header) for row in rows):
+        database.bulk_load(relation, zip(*(values for _, values in scans)))
+    else:
+        # the first ragged row raises SchemaError, as an insert loop would
+        database.bulk_load(relation, ([coerce_cell(cell) for cell in row] for row in rows))
     return database, profiles
 
 

@@ -246,9 +246,11 @@ class SessionManager:
 
         entries = self.board.entries() if self.board is not None else []
         self._board_cursor = len(entries)
+        # encode once; the digest hashes the very rows the checkpoint holds
+        database = codec.database_to_obj(self.database)
         return {
-            "database": codec.database_to_obj(self.database),
-            "digest": codec.database_digest(self.database),
+            "database": database,
+            "digest": codec.obj_digest(database),
             "ledger": self.ledger.snapshot(),
             "board": codec.board_entries_to_obj(entries),
         }

@@ -120,6 +120,26 @@ class TestCodec:
         assert rebuilt == database
         assert rebuilt.state_digest() == database.state_digest()
 
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=20,
+        )
+    )
+    def test_canonical_json_is_the_sorted_compact_dump(self, obj):
+        # the shared encoder renders exactly what json.dumps renders
+        expected = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
+        assert codec.canonical_json(obj) == expected
+
+    def test_checkpoint_digest_hashes_the_encoded_rows(self, tmp_path):
+        manager = repro.api.serve(figure1_dirty(), durable_path=tmp_path / "wal")
+        state = manager._serialize_state()
+        manager.close()
+        assert state["digest"] == codec.database_digest(manager.database)
+        assert state["digest"] == codec.obj_digest(state["database"])
+        assert codec.database_from_obj(state["database"]) == manager.database
+
 
 class TestForkEditLogRoundTrip:
     @given(databases(), edit_sequences)

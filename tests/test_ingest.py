@@ -11,6 +11,8 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +36,10 @@ from repro.ingest import (
     table_to_csv_bytes,
     write_csv,
 )
-from repro.ingest.sniffer import cell_kind, coerce_cell, is_null
+from repro.db.database import Database
+from repro.db.schema import RelationSchema, Schema, SchemaError
+from repro.db.tuples import Fact
+from repro.ingest.sniffer import ColumnProfile, cell_kind, coerce_cell, is_null, sniff_table
 from repro.oracle.perfect import PerfectOracle
 
 HEADER = ["day", "team", "score"]
@@ -117,6 +122,88 @@ class TestLoader:
         rows = clean_rows(4)
         write_csv(tmp_path / "t.csv", HEADER, rows + [rows[0]])
         assert len(load_csv(tmp_path / "t.csv")) == 4
+
+
+#: cells that coerce alike, coerce to NaN, vote differently, or spell null
+CELL_POOL = [
+    "nan", " NaN ", "1", "1.0", " 7 ", "-0", "1_000", "N/A", "",
+    "1998-07-12", "12/07/1998", "1998/07/12", "FRA", "free text", "-3.5",
+]
+
+
+def _reference_profile(name: str, cells: list[str]) -> ColumnProfile:
+    """The vote cell by cell: one is_null and one cell_kind per cell."""
+    votes: Counter[str] = Counter()
+    nulls = 0
+    for cell in cells:
+        if is_null(cell):
+            nulls += 1
+            continue
+        kind = cell_kind(cell)
+        votes[kind] += 1
+        if kind == "int":
+            votes["float"] += 1
+    populated = len(cells) - nulls
+    chosen = next(
+        (k for k in ("int", "float", "date") if populated and votes[k] > populated / 2), "text"
+    )
+    return ColumnProfile(name, chosen, len(cells), nulls, tuple(sorted(votes.items())))
+
+
+def _reference_load(relation, header, rows):
+    """``coerce_cell`` per cell and an ``insert`` loop."""
+    profiles = [
+        _reference_profile(name, [row[i] for row in rows]) for i, name in enumerate(header)
+    ]
+    assert sniff_table(header, rows) == profiles
+    domains = tuple(f"{relation}.{p.name}:{p.kind}" for p in profiles)
+    database = Database(Schema([RelationSchema(relation, tuple(header), domains)]))
+    for row in rows:
+        database.insert(Fact(relation, tuple(coerce_cell(cell) for cell in row)))
+    return database, profiles
+
+
+def _spellings(database):
+    """The facts as a multiset of reprs: NaN facts never compare equal."""
+    return Counter(repr(f) for f in database)
+
+
+class TestLoadTableEquivalence:
+    """``load_table`` (one scan per column, one ``bulk_load``) loads what
+    a cell-by-cell load does: the same facts, spelled the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_matches_a_cell_by_cell_load(self, width, data):
+        header = [f"c{i}" for i in range(width)]
+        rows = data.draw(
+            st.lists(st.lists(st.sampled_from(CELL_POOL), min_size=width, max_size=width),
+                     max_size=12)
+        )
+        database, profiles = load_table("t", header, rows)
+        reference, reference_profiles = _reference_load("t", header, rows)
+        assert profiles == reference_profiles
+        assert database.schema == reference.schema
+        assert len(database) == len(reference)
+        assert _spellings(database) == _spellings(reference)
+        assert database.version == (1 if rows else 0)
+
+    def test_nan_cells_stay_distinct(self):
+        rows = [["a", "nan"], ["a", "nan"], ["a", " NaN "], ["b", "1"], ["b", "1"]]
+        database, _ = load_table("t", ["k", "v"], rows)
+        reference, _ = _reference_load("t", ["k", "v"], rows)
+        assert len(database) == len(reference) == 4
+        nans = [f.values[1] for f in database if f.values[0] == "a"]
+        assert len({id(value) for value in nans}) == 3
+
+    def test_ragged_rows_raise_like_an_insert_loop(self):
+        with pytest.raises(SchemaError, match=r"t\(3\) has arity 1, relation 't' expects 2"):
+            load_table("t", ["a", "b"], [["1", "2"], ["3"]])
+        with pytest.raises(SchemaError, match="has arity 3"):
+            load_table("t", ["a", "b"], [["1", "2"], ["3", "4", "5"]])
 
 
 class TestNoiseDeterminism:
