@@ -20,21 +20,22 @@ from .base import Oracle
 class PerfectOracle(Oracle):
     """Answers every question correctly by consulting ``D_G``.
 
-    Query results over the ground truth are memoized per query object, so
-    repeated ``TRUE(Q, t)?`` / ``COMPL(Q(D))`` calls don't re-evaluate.
+    Query results over the ground truth are memoized per query value, so
+    repeated ``TRUE(Q, t)?`` / ``COMPL(Q(D))`` calls don't re-evaluate —
+    also when each call carries a fresh copy of the query, as a crowd
+    worker decoding every question from the wire does.
     """
 
     def __init__(self, ground_truth: Database) -> None:
         self.ground_truth = ground_truth
-        self._answers_cache: dict[int, set[Answer]] = {}
-        self._query_by_id: dict[int, Query] = {}
+        self._answers_cache: dict[Query, set[Answer]] = {}
 
     def _true_answers(self, query: Query) -> set[Answer]:
-        key = id(query)
-        if key not in self._answers_cache:
-            self._answers_cache[key] = Evaluator(query, self.ground_truth).answers()
-            self._query_by_id[key] = query  # keep the query alive for id() safety
-        return self._answers_cache[key]
+        answers = self._answers_cache.get(query)
+        if answers is None:
+            answers = Evaluator(query, self.ground_truth).answers()
+            self._answers_cache[query] = answers
+        return answers
 
     # -- Oracle interface --------------------------------------------------
     def verify_fact(self, fact: Fact) -> bool:

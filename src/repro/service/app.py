@@ -16,7 +16,9 @@ bound (queue depth is published as ``service.queue_depth``).
 :class:`~repro.service.broker.QuestionBroker` via a long-poll feed
 (``GET /v1/worker/feed``) or a chunked NDJSON stream
 (``GET /v1/worker/stream``) and POST answers back, idempotently, to
-``/v1/worker/answer``.  The broker's retry policy expires stalled
+``/v1/worker/answer``; an answer that carries ``"wait"`` also returns
+the worker's next lease, so a polling worker pays one request per
+question.  The broker's retry policy expires stalled
 leases on the housekeeping tick, so a worker that vanishes mid-question
 only costs a timeout, not a hung session.
 
@@ -45,7 +47,7 @@ from ..server.session import CleaningSession, SessionState
 from ..shard import wire
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .broker import BrokeredOracle, QuestionBroker, decode_reply
-from .http import HttpError, HttpServer, Request, Response, StreamResponse, json_response
+from .http import HttpError, HttpServer, Request, Response, StreamResponse, json_response, within
 from .replication import Follower, ReplicationHub, _Chain
 
 
@@ -342,7 +344,7 @@ class CrowdService:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         try:
-            await asyncio.wait_for(entry.done.wait(), timeout)
+            await within(entry.done.wait(), timeout)
         except asyncio.TimeoutError:
             return json_response(self._session_doc(entry))
         if entry.future is not None:
@@ -393,21 +395,26 @@ class CrowdService:
             raise HttpError(400, "missing 'worker' query parameter")
         return worker
 
-    async def _worker_feed(self, request: Request) -> Response:
-        self._require_primary()
-        worker = self._worker_id(request)
-        wait = min(request.query_float("wait", 20.0), 60.0)
+    async def _lease_or_wait(self, worker: str, wait: float) -> Optional[dict]:
+        """*worker*'s next lease, waiting up to *wait* seconds (at most
+        60) for one; ``None`` if none arrived in time."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + wait
+        deadline = loop.time() + min(wait, 60.0)
         while True:
             lease = self.broker.lease(worker, time.monotonic())
             if lease is not None:
-                return json_response({"question": lease})
+                return lease
             remaining = deadline - loop.time()
-            if remaining <= 0:
-                return json_response({"question": None})
+            if not remaining > 0:  # also a NaN wait
+                return None
             assert self._work_chain is not None
             await self._work_chain.wait(remaining)
+
+    async def _worker_feed(self, request: Request) -> Response:
+        self._require_primary()
+        worker = self._worker_id(request)
+        wait = request.query_float("wait", 20.0)
+        return json_response({"question": await self._lease_or_wait(worker, wait)})
 
     async def _worker_stream(self, request: Request) -> StreamResponse:
         self._require_primary()
@@ -432,16 +439,22 @@ class CrowdService:
             worker = str(body["worker"])
             qid = int(body["qid"])
             reply = body["reply"]
+            wait = None if body.get("wait") is None else float(body["wait"])
         except (KeyError, TypeError, ValueError) as error:
             raise HttpError(400, f"malformed answer: {error}") from error
         kind = self.broker.kind_of(qid)
         if kind is None:
-            return json_response({"status": "unknown", "resolved": False})
-        try:
-            value = decode_reply(kind, reply)
-        except Exception as error:
-            raise HttpError(400, f"undecodable reply for {kind}: {error}") from error
-        outcome = self.broker.answer(worker, qid, value, time.monotonic())
+            outcome = {"status": "unknown", "resolved": False}
+        else:
+            try:
+                value = decode_reply(kind, reply)
+            except Exception as error:
+                raise HttpError(400, f"undecodable reply for {kind}: {error}") from error
+            outcome = self.broker.answer(worker, qid, value, time.monotonic())
+        if wait is not None:
+            # answer-and-lease: the vote is recorded; the same reply
+            # carries this worker's next question, as the feed would
+            outcome["question"] = await self._lease_or_wait(worker, wait)
         return json_response(outcome)
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Blocking clients for the crowd service (stdlib ``http.client`` only).
+"""Blocking clients for the crowd service (stdlib only).
 
 :class:`ServiceClient` is the tenant SDK — open a cleaning session, wait
 for its commit (optionally for follower replication), read back the
@@ -9,16 +9,20 @@ and POSTs replies idempotently, retrying through timeouts and
 reconnects.
 
 Both retry transient transport errors with a small backoff, so tests
-can kill and promote servers under them.
+can kill and promote servers under them.  JSON requests go through
+:class:`_Http`, a keep-alive client on a plain socket; only the chunked
+worker stream uses ``http.client``.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import re
+import socket
 import threading
 import time
-from typing import Any, Optional, Union
+from typing import Any, BinaryIO, Optional, Union
 
 from ..durability import codec
 from ..oracle.base import Oracle
@@ -37,54 +41,137 @@ class ServiceError(RuntimeError):
         self.retry_after = retry_after
 
 
+#: longest status or header line a response may carry
+_MAX_LINE = 65536
+#: most header lines a response may carry
+_MAX_HEADERS = 100
+#: bytes that may not appear in a request target (they would split it)
+_UNSAFE_TARGET = re.compile(r"[\x00-\x20\x7f]")
+
+
+def _seconds(value: Optional[str]) -> Optional[float]:
+    """A ``Retry-After`` value in seconds (``None`` if absent or a date)."""
+    try:
+        return float(value) if value else None
+    except ValueError:
+        return None
+
+
 class _Http:
-    """One keep-alive connection with JSON helpers and reconnects."""
+    """One keep-alive HTTP/1.1 connection that speaks JSON.
+
+    A request is one ``sendall``; the response comes off one buffered
+    reader on the same socket, framed by ``Content-Length`` (or by the
+    end of the connection).  A dropped connection, or an idle one the
+    server timed out (``408``), is reconnected once; ``Connection:
+    close`` is honoured.  Status 400 and above, or a body that is not a
+    JSON object, raises :class:`ServiceError`; a malformed response
+    raises ``ConnectionError``.  Use one instance from one thread.
+    """
 
     def __init__(self, host: str, port: int, *, timeout: float = 60.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._conn: Optional[http.client.HTTPConnection] = None
+        #: status code of the last response
+        self.status = 0
+        self._sock: Optional[socket.socket] = None
+        self._reader: Optional[BinaryIO] = None
+        self._host_line = f"Host: {host}:{port}\r\n"
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
+    def _connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._reader = sock.makefile("rb")
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def request(self, method: str, path: str, payload: Any = None) -> dict:
-        body = None
-        headers = {}
-        if payload is not None:
+        if _UNSAFE_TARGET.search(path):
+            raise ValueError(f"request target {path!r} contains unsafe characters")
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_line}"
+        if payload is None:
+            message = (head + "\r\n").encode("ascii")
+        else:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            headers = {"Content-Type": "application/json"}
+            message = (
+                f"{head}Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("ascii") + body
         for attempt in (1, 2):
-            conn = self._connection()
+            reused = self._sock is not None
             try:
-                conn.request(method, path, body, headers)
-                response = conn.getresponse()
-                raw = response.read()
-                break
-            except (http.client.HTTPException, ConnectionError, OSError):
+                if not reused:
+                    self._connect()
+                self._sock.sendall(message)
+                status, headers, raw = self._read_response()
+            except OSError:
                 # a dropped keep-alive connection: reconnect once
                 self.close()
                 if attempt == 2:
                     raise
-        document = json.loads(raw) if raw else {}
-        if response.status >= 400:
-            retry_after = response.headers.get("Retry-After")
+                continue
+            if headers.get("connection", "").lower() == "close":
+                self.close()
+            if status == 408 and reused:
+                # the server timed the idle connection out before this
+                # request arrived, so it was never read: send it again
+                self.close()
+                continue
+            break
+        self.status = status
+        try:
+            document = json.loads(raw) if raw else {}
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            document = None
+        if not isinstance(document, dict):
+            raise ServiceError(status, raw.decode("utf-8", "replace"))
+        if status >= 400:
             raise ServiceError(
-                response.status,
+                status,
                 document.get("error", raw.decode("utf-8", "replace")),
-                retry_after=float(retry_after) if retry_after else None,
+                retry_after=_seconds(headers.get("retry-after")),
             )
         return document
+
+    def _read_response(self) -> tuple[int, dict[str, str], bytes]:
+        reader = self._reader
+        line = reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError("the server closed the connection")
+        parts = line.split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith(b"HTTP/") or not parts[1].isdigit():
+            raise ConnectionError(f"malformed status line {line[:80]!r}")
+        status = int(parts[1])
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = reader.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                raise ConnectionResetError("the server closed the connection mid-head")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or len(line) > _MAX_LINE:
+                raise ConnectionError(f"malformed header line {line[:80]!r}")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise ConnectionError(f"more than {_MAX_HEADERS} header lines")
+        length = headers.get("content-length")
+        if length is None:
+            # framed by the end of the connection
+            headers["connection"] = "close"
+            return status, headers, reader.read()
+        if not length.isdigit():
+            raise ConnectionError(f"malformed Content-Length {length!r}")
+        raw = reader.read(int(length))
+        if len(raw) != int(length):
+            raise ConnectionResetError("the server closed the connection mid-body")
+        return status, headers, raw
 
 
 class ServiceClient:
@@ -221,7 +308,8 @@ class WorkerClient:
     *backend* supplies the answers (tests use
     :class:`~repro.oracle.perfect.PerfectOracle` over the ground truth;
     a real deployment would put a human or a model behind the same
-    interface).
+    interface).  :meth:`run` costs one request per question: each
+    answer POST also asks for the worker's next lease.
     """
 
     def __init__(
@@ -253,37 +341,60 @@ class WorkerClient:
     # ------------------------------------------------------------------
     def answer(self, lease: dict) -> dict:
         """Answer one lease document and POST the reply."""
+        return self._answer(lease, None)
+
+    def _answer(self, lease: dict, wait: Optional[float]) -> dict:
+        """POST the answer to *lease*; with *wait*, the reply's
+        ``"question"`` is this worker's next lease (or ``None`` when
+        none arrived within *wait* seconds)."""
         decoded = wire.question_from_obj(lease["question"])
         reply = answer_question(self.backend, decoded)
-        outcome = self._http.request(
-            "POST",
-            "/v1/worker/answer",
-            {"worker": self.worker_id, "qid": lease["qid"], "reply": reply},
-        )
+        payload = {"worker": self.worker_id, "qid": lease["qid"], "reply": reply}
+        if wait is not None:
+            payload["wait"] = wait
+        outcome = self._http.request("POST", "/v1/worker/answer", payload)
         if outcome.get("status") == "accepted":
             self.answered += 1
         elif outcome.get("status") == "duplicate":
             self.duplicates += 1
         return outcome
 
-    def poll_once(self) -> bool:
-        """One long-poll iteration; True if a question was answered."""
+    def _lease(self) -> Optional[dict]:
+        """Long-poll the feed once; the lease, or ``None`` at timeout."""
         doc = self._http.request(
             "GET",
             f"/v1/worker/feed?worker={self.worker_id}&wait={self.poll_wait}",
         )
-        lease = doc.get("question")
+        return doc.get("question")
+
+    def poll_once(self) -> bool:
+        """One long-poll iteration; True if a question was answered."""
+        lease = self._lease()
         if lease is None:
             return False
         self.answer(lease)
         return True
 
     def run(self) -> None:
-        """Long-poll until :meth:`stop`; survives restarts/promotions."""
-        while not self._stop.is_set():
+        """Answer and lease until :meth:`stop`; survives restarts/promotions.
+
+        The feed is polled only when no lease is held; every answer
+        asks for the next lease in the same request.  A lease in hand
+        is always answered, and a new one is asked for only while the
+        worker has not been stopped.
+        """
+        lease: Optional[dict] = None
+        while True:
             try:
-                self.poll_once()
-            except (ServiceError, ConnectionError, OSError, http.client.HTTPException):
+                if lease is not None:
+                    wait = None if self._stop.is_set() else self.poll_wait
+                    lease = self._answer(lease, wait).get("question")
+                elif self._stop.is_set():
+                    return
+                else:
+                    lease = self._lease()
+            except (ServiceError, OSError):
+                lease = None
                 if self._stop.wait(0.3):
                     return
                 self._http.close()

@@ -10,7 +10,8 @@ ISSUE 8).  The layer supports exactly the subset the
 * keep-alive connections with per-read timeouts, so a *slow-loris*
   client — one that opens a connection and dribbles (or stalls) its
   request head or body — is dropped with ``408`` after
-  ``read_timeout`` seconds instead of pinning a connection slot;
+  ``read_timeout`` seconds instead of pinning a connection slot (each
+  deadline is one loop timer, :func:`within`, not a Task per read);
 * plain JSON responses (``Content-Length`` framing) and **chunked**
   streaming responses driven by an async generator — the transport of
   the worker question feed and the WAL replication stream;
@@ -27,7 +28,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Awaitable, Callable, Optional
+from typing import Any, AsyncIterator, Awaitable, Callable, Optional, TypeVar
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from ..telemetry import TELEMETRY as _TELEMETRY
@@ -46,6 +47,51 @@ REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+_T = TypeVar("_T")
+
+#: ``Task.uncancel`` (Python 3.11+) keeps a task's cancel count balanced
+_UNCANCEL = hasattr(asyncio.Task, "uncancel")
+
+
+async def within(awaitable: Awaitable[_T], timeout: Optional[float]) -> _T:
+    """Await *awaitable* in the current task, or raise
+    :class:`asyncio.TimeoutError` once *timeout* seconds have passed.
+
+    ``asyncio.wait_for`` (before Python 3.12) runs its awaitable in a
+    Task of its own; this deadline is one loop timer that cancels the
+    current task instead.  Only that timer's cancellation becomes the
+    timeout: a cancellation from outside (``HttpServer.stop()``
+    cancelling a connection) propagates as ``CancelledError``.  Where
+    ``Task.uncancel`` exists, the timer's cancel is withdrawn before
+    the conversion, as ``asyncio.timeout`` does; on Python 3.10 a
+    cancel from outside that lands in the same loop pass as the timer
+    reads as the timeout.  *awaitable* must not swallow cancellation.
+    ``timeout=None`` waits without a deadline.
+    """
+    if timeout is None:
+        return await awaitable
+    task = asyncio.current_task()
+    if task is None:
+        raise RuntimeError("within() must run inside a task")
+    fired = False
+
+    def expire() -> None:
+        nonlocal fired
+        fired = True
+        task.cancel()
+
+    cancelling = task.cancelling() if _UNCANCEL else 0
+    handle = asyncio.get_running_loop().call_later(timeout, expire)
+    try:
+        return await awaitable
+    except asyncio.CancelledError:
+        if not fired or (_UNCANCEL and task.uncancel() > cancelling):
+            raise
+        raise asyncio.TimeoutError from None
+    finally:
+        handle.cancel()
 
 
 class HttpError(Exception):
@@ -199,15 +245,19 @@ class HttpServer:
         return bound[0], bound[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # cancel open connections before waiting on the server: from
+        # Python 3.12.1, wait_closed() also waits for every connection,
+        # so an idle keep-alive client or a parked feed would hold it
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
+        if server is not None:
+            await server.wait_closed()
 
     # ------------------------------------------------------------------
     # connection loop
@@ -274,17 +324,13 @@ class HttpServer:
         """
         try:
             if first:
-                head = await asyncio.wait_for(
-                    reader.readuntil(b"\r\n\r\n"), self.read_timeout
-                )
+                head = await within(reader.readuntil(b"\r\n\r\n"), self.read_timeout)
             else:
                 # two-phase: the connection may idle between requests,
                 # but once the next head starts arriving the strict
                 # per-head deadline takes over
-                prefix = await asyncio.wait_for(
-                    reader.readexactly(1), self.idle_timeout
-                )
-                head = prefix + await asyncio.wait_for(
+                prefix = await within(reader.readexactly(1), self.idle_timeout)
+                head = prefix + await within(
                     reader.readuntil(b"\r\n\r\n"), self.read_timeout
                 )
         except asyncio.TimeoutError:
@@ -323,9 +369,7 @@ class HttpServer:
         body = b""
         if length:
             try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), self.read_timeout
-                )
+                body = await within(reader.readexactly(length), self.read_timeout)
             except asyncio.TimeoutError:
                 # a slow-loris body: bytes promised by Content-Length
                 # never (fully) arrive — reject and drop the connection
@@ -444,4 +488,5 @@ __all__ = [
     "Response",
     "StreamResponse",
     "json_response",
+    "within",
 ]

@@ -45,6 +45,8 @@ from ..durability.codec import database_digest, database_from_obj
 from ..durability.store import CHECKPOINT_FILE, WAL_FILE, DurabilityError
 from ..durability.wal import decode_records
 from ..telemetry import TELEMETRY as _TELEMETRY
+from .client import ServiceError, _Http
+from .http import within
 
 
 class ReplicationError(RuntimeError):
@@ -64,9 +66,8 @@ class _Chain:
         event.set()
 
     async def wait(self, timeout: Optional[float] = None) -> bool:
-        event = self._event
         try:
-            await asyncio.wait_for(event.wait(), timeout)
+            await within(self._event.wait(), timeout)
             return True
         except asyncio.TimeoutError:
             return False
@@ -244,10 +245,12 @@ def _fsync_path(handle) -> None:
 class Follower:
     """Tails a primary's log into a local directory, ack by ack.
 
-    Runs on a plain thread with blocking stdlib HTTP (the event loop of
-    the standby process stays free for its own health/promotion
-    endpoints).  :meth:`run` loops fetch-checkpoint → tail-stream until
-    :meth:`stop`; :meth:`promote` then turns the directory into a live
+    Runs on a plain thread with blocking HTTP: the package's JSON
+    client for the checkpoint and acks, ``http.client`` for the chunked
+    WAL stream (the event loop of the standby process stays free for
+    its own health/promotion endpoints).  :meth:`run` loops
+    fetch-checkpoint → tail-stream until :meth:`stop`;
+    :meth:`promote` then turns the directory into a live
     :class:`~repro.server.manager.SessionManager` via the standard
     recovery path.
     """
@@ -271,48 +274,39 @@ class Follower:
         self.checkpoints_fetched = 0
         self._stop = threading.Event()
         self._wal_handle = None
-        self._ack_conn: Optional[http.client.HTTPConnection] = None
+        #: the JSON client for checkpoint fetches and acks; only the
+        #: thread that runs :meth:`run` creates, uses and closes it
+        self._rpc: Optional[_Http] = None
 
-    # -- primary RPC (blocking) ----------------------------------------
+    # -- primary RPC (blocking, on the follower's own thread) -----------
     def _connection(self):
+        """A connection for the chunked WAL stream."""
         return http.client.HTTPConnection(
             self.primary_host, self.primary_port, timeout=30
         )
 
-    def _get_json(self, path: str) -> dict:
-        conn = self._connection()
+    def _request(self, method: str, path: str, payload: Any = None) -> dict:
+        # one keep-alive connection for the checkpoint and every ack:
+        # an ack per applied frame on a fresh TCP connection each would
+        # serialize the whole pipeline behind connection setup and cap
+        # replication at a few frames per second
+        if self._rpc is None:
+            self._rpc = _Http(self.primary_host, self.primary_port, timeout=30.0)
         try:
-            conn.request("GET", path)
-            response = conn.getresponse()
-            body = response.read()
-            if response.status != 200:
-                raise ReplicationError(f"GET {path} -> {response.status}: {body!r}")
-            return json.loads(body)
-        finally:
-            conn.close()
+            document = self._rpc.request(method, path, payload)
+        except ServiceError as error:
+            raise ReplicationError(f"{method} {path} -> {error}") from error
+        if self._rpc.status != 200:
+            raise ReplicationError(f"{method} {path} -> HTTP {self._rpc.status}")
+        return document
+
+    def _get_json(self, path: str) -> dict:
+        return self._request("GET", path)
 
     def _post_ack(self, seq: int) -> None:
-        # the ack connection is persistent: one ack per applied frame
-        # on a fresh TCP connection each would serialize the whole
-        # pipeline behind connection setup and cap replication at a few
-        # frames per second
-        body = json.dumps({"follower": self.follower_id, "seq": seq}).encode()
-        headers = {
-            "Content-Type": "application/json",
-            "Content-Length": str(len(body)),
-        }
-        for attempt in (1, 2):
-            if self._ack_conn is None:
-                self._ack_conn = self._connection()
-            try:
-                self._ack_conn.request("POST", "/v1/replication/ack", body, headers)
-                self._ack_conn.getresponse().read()
-                return
-            except (OSError, http.client.HTTPException):
-                self._ack_conn.close()
-                self._ack_conn = None
-                if attempt == 2:
-                    raise
+        self._request(
+            "POST", "/v1/replication/ack", {"follower": self.follower_id, "seq": seq}
+        )
 
     # -- local durable state -------------------------------------------
     def _install_checkpoint(self, document: dict) -> None:
@@ -387,12 +381,17 @@ class Follower:
     # -- the tail loop --------------------------------------------------
     def run(self) -> None:
         """Follow until :meth:`stop`; transient errors retry the loop."""
-        while not self._stop.is_set():
-            try:
-                self._follow_once()
-            except (OSError, ReplicationError, json.JSONDecodeError):
-                if self._stop.wait(0.5):
-                    return
+        try:
+            while not self._stop.is_set():
+                try:
+                    self._follow_once()
+                except (OSError, ReplicationError, json.JSONDecodeError):
+                    if self._stop.wait(0.5):
+                        return
+        finally:
+            if self._rpc is not None:
+                self._rpc.close()
+                self._rpc = None
 
     def _follow_once(self) -> None:
         document = self._get_json("/v1/replication/checkpoint")
@@ -431,9 +430,6 @@ class Follower:
 
     def close(self) -> None:
         self.stop()
-        if self._ack_conn is not None:
-            self._ack_conn.close()
-            self._ack_conn = None
         if self._wal_handle is not None and not self._wal_handle.closed:
             self._wal_handle.close()
 

@@ -5,6 +5,7 @@ from repro.db.tuples import fact
 from repro.oracle.perfect import PerfectOracle
 from repro.query.ast import Var
 from repro.query.evaluator import witness_of
+from repro.shard import wire
 from repro.workloads import EX1, EX2
 
 
@@ -77,3 +78,14 @@ class TestMemoization:
         assert len(cached) == 1
         oracle.verify_answer(EX1, ("ITA",))
         assert len(cached) == 1  # same query object, one evaluation
+
+    def test_decoded_copies_of_a_query_share_one_entry(self, fig1_gt):
+        # a crowd worker decodes a fresh Query for every question it
+        # leases; equal copies must hit the cache, not grow it
+        oracle = PerfectOracle(fig1_gt)
+        obj = wire.question_to_obj("verify_answer", query=EX1, answer=("GER",))
+        for _ in range(5):
+            decoded = wire.question_from_obj(obj)
+            assert decoded["query"] is not EX1
+            assert oracle.verify_answer(decoded["query"], decoded["answer"])
+        assert len(oracle._answers_cache) == 1

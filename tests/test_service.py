@@ -18,7 +18,8 @@ import pytest
 from repro.durability.codec import database_digest
 from repro.oracle.perfect import PerfectOracle
 from repro.server.manager import SessionManager
-from repro.service.client import ServiceClient, ServiceError, WorkerClient
+from repro.service.client import ServiceClient, ServiceError, WorkerClient, answer_question
+from repro.shard import wire
 from repro.telemetry import telemetry_session
 from service_harness import ServiceHarness
 
@@ -136,6 +137,103 @@ class TestEndToEnd:
                 with pytest.raises(ServiceError) as excinfo:
                     client._http.request("POST", "/v1/sessions", {"tenant": "x"})
                 assert excinfo.value.status == 400
+
+
+def _lease_and_reply(client, oracle, worker="w0"):
+    """Lease one question through the feed; returns (lease, answer payload)."""
+    lease = client._http.request("GET", f"/v1/worker/feed?worker={worker}&wait=20")[
+        "question"
+    ]
+    assert lease is not None
+    reply = answer_question(oracle, wire.question_from_obj(lease["question"]))
+    return lease, {"worker": worker, "qid": lease["qid"], "reply": reply}
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
+
+
+class TestAnswerAndLease:
+    """``POST /v1/worker/answer`` with ``"wait"`` records the vote and
+    returns the same worker's next lease in one round trip."""
+
+    def test_answer_with_wait_returns_the_same_workers_next_lease(self):
+        workload = build_workload("figure1")
+        manager = SessionManager(workload.dirty.copy(), mode="sync")
+        oracle = PerfectOracle(workload.ground_truth)
+        with ServiceHarness(manager) as harness:
+            broker = harness.service.broker
+            with ServiceClient(harness.host, harness.port) as client:
+                client.open(workload.queries[0])
+                first, payload = _lease_and_reply(client, oracle)
+                outcome = client._http.request(
+                    "POST", "/v1/worker/answer", dict(payload, wait=20)
+                )
+                assert outcome["status"] == "accepted"
+                lease = outcome["question"]
+                assert lease is not None and lease["qid"] != first["qid"]
+                assert set(lease) == {"qid", "kind", "question", "attempt", "timeout"}
+                # the lease is w0's: in flight for w0 alone
+                assert list(broker._questions[lease["qid"]].active) == ["w0"]
+                assert broker.stats()["inflight"] == 1
+
+    def test_answer_without_wait_leases_nothing(self):
+        workload = build_workload("figure1")
+        manager = SessionManager(workload.dirty.copy(), mode="sync")
+        oracle = PerfectOracle(workload.ground_truth)
+        with ServiceHarness(manager) as harness:
+            broker = harness.service.broker
+            with ServiceClient(harness.host, harness.port) as client:
+                sid = client.open(workload.queries[0])
+                _, payload = _lease_and_reply(client, oracle)
+                outcome = client._http.request("POST", "/v1/worker/answer", payload)
+                assert outcome["status"] == "accepted"
+                assert "question" not in outcome
+                # the session asks its next question; nobody leased it
+                assert _wait_for(lambda: broker.stats()["pending"] >= 1)
+                assert broker.stats()["inflight"] == 0
+                # a stream worker still receives it, and the rest
+                worker = WorkerClient(harness.host, harness.port, "w1", oracle)
+                thread = worker.start_thread(stream=True)
+                try:
+                    doc = client.wait(sid, timeout=120.0)
+                finally:
+                    worker.stop()
+                assert doc["state"] == "committed", doc
+                assert worker.answered >= 1
+        thread.join(timeout=20)  # the stream ends when the service stops
+        assert not thread.is_alive()
+        worker.close()
+
+    def test_replayed_answer_with_wait_is_duplicate_and_counted_once(self):
+        workload = build_workload("figure1")
+        manager = SessionManager(workload.dirty.copy(), mode="sync")
+        oracle = PerfectOracle(workload.ground_truth)
+        with ServiceHarness(manager) as harness:
+            with ServiceClient(harness.host, harness.port) as client:
+                client.open(workload.queries[0])
+                _, payload = _lease_and_reply(client, oracle)
+                first = client._http.request(
+                    "POST", "/v1/worker/answer", dict(payload, wait=20)
+                )
+                assert first["status"] == "accepted"
+                assert first["question"] is not None
+                # at-least-once redelivery of the same answer: w0 already
+                # holds the only pending question, so nothing more to lease
+                replay = client._http.request(
+                    "POST", "/v1/worker/answer", dict(payload, wait=0.2)
+                )
+                assert replay["status"] == "duplicate"
+                assert replay["question"] is None
+                stats = client.stats()["broker"]
+                assert stats["duplicate_answers"] == 1
+                assert stats["resolved"] == 1
+                assert stats["inflight"] == 1
 
 
 class TestAdmissionControl:

@@ -12,18 +12,32 @@ Three hostile-client shapes against the live service:
   and vanishes costs one lease expiry; after reconnecting it (or a
   peer) re-leases the question and the session still converges at the
   in-process question cost.
+
+The client's own transport (``_Http``) is held to the same shapes from
+the other side: a server that closes an idle keep-alive connection, one
+that answers ``Connection: close``, ``429 Retry-After``, or a proxy's
+non-JSON ``502``.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 import time
+
+import pytest
 
 from repro.dispatch.policy import RetryPolicy
 from repro.oracle.perfect import PerfectOracle
 from repro.server.manager import SessionManager
 from repro.service.broker import QuestionBroker
-from repro.service.client import ServiceClient, WorkerClient, answer_question
+from repro.service.client import (
+    ServiceClient,
+    ServiceError,
+    WorkerClient,
+    _Http,
+    answer_question,
+)
 from repro.shard import wire
 from service_harness import ServiceHarness
 
@@ -117,6 +131,179 @@ class TestSlowLoris:
             finally:
                 for sock in attackers:
                     sock.close()
+
+
+def _figure1_harness(**kwargs) -> ServiceHarness:
+    workload = build_workload("figure1")
+    return ServiceHarness(SessionManager(workload.dirty.copy(), mode="sync"), **kwargs)
+
+
+class _CannedServer:
+    """A loopback HTTP server that answers every request with *response*.
+
+    Each connection gets its own thread.  It stays open until the client
+    closes it, whatever the response's headers say, unless *one_shot*:
+    then the server closes it after one response, which is how a
+    response without ``Content-Length`` ends.  ``connections`` and
+    ``requests`` count what arrived.
+    """
+
+    def __init__(self, response: bytes, *, one_shot: bool = False) -> None:
+        self.response = response
+        self.one_shot = one_shot
+        self.connections = 0
+        self.requests = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.host, self.port = self._listener.getsockname()[:2]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        with conn, conn.makefile("rb") as reader:
+            while True:
+                length = 0
+                line = reader.readline()
+                if not line:
+                    return
+                while line not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                    line = reader.readline()
+                reader.read(length)
+                self.requests += 1
+                conn.sendall(self.response)
+                if self.one_shot:
+                    return
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+def _canned(status_line: str, body: bytes, *headers: str) -> bytes:
+    head = [status_line, f"Content-Length: {len(body)}", *headers]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+class TestHttpClient:
+    def test_reconnects_once_after_the_server_closes_an_idle_connection(self):
+        harness = _figure1_harness()
+        harness.service.http.idle_timeout = 0.2
+        with harness:
+            http = _Http(harness.host, harness.port)
+            try:
+                assert http.request("GET", "/v1/healthz")["role"] == "primary"
+                first = http._sock
+                # the server times the idle connection out (a 408, then
+                # close); the next request must land on a new connection
+                time.sleep(0.6)
+                assert http.request("GET", "/v1/healthz")["role"] == "primary"
+                assert http._sock is not first
+            finally:
+                http.close()
+
+    def test_honours_connection_close(self):
+        server = _CannedServer(
+            _canned("HTTP/1.1 200 OK", b'{"ok": true}', "Connection: close")
+        )
+        http = _Http(server.host, server.port, timeout=5.0)
+        try:
+            assert http.request("GET", "/a") == {"ok": True}
+            assert http.request("GET", "/b") == {"ok": True}
+        finally:
+            http.close()
+            server.close()
+        # the server left each connection open; the client closed them
+        assert server.connections == 2 and server.requests == 2
+
+    def test_parses_retry_after_on_a_429(self):
+        server = _CannedServer(
+            _canned(
+                "HTTP/1.1 429 Too Many Requests",
+                b'{"error": "slow down"}',
+                "Retry-After: 2.5",
+            )
+        )
+        http = _Http(server.host, server.port, timeout=5.0)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                http.request("POST", "/v1/sessions", {"query": "q"})
+        finally:
+            http.close()
+            server.close()
+        assert excinfo.value.status == 429
+        assert excinfo.value.message == "slow down"
+        assert excinfo.value.retry_after == 2.5
+
+    def test_undecodable_body_is_a_service_error_and_the_worker_keeps_polling(self):
+        # a proxy's error page, framed by closing the connection
+        page = b"<html><body>502 Bad Gateway</body></html>"
+        server = _CannedServer(
+            b"HTTP/1.1 502 Bad Gateway\r\nContent-Type: text/html\r\n\r\n" + page,
+            one_shot=True,
+        )
+        try:
+            http = _Http(server.host, server.port, timeout=5.0)
+            with pytest.raises(ServiceError) as excinfo:
+                http.request("GET", "/v1/healthz")
+            http.close()
+            assert excinfo.value.status == 502
+            assert excinfo.value.message == page.decode()
+
+            worker = WorkerClient(server.host, server.port, "w0", None, poll_wait=0.1)
+            thread = worker.start_thread()
+            try:
+                polled = server.requests
+                deadline = time.monotonic() + 10.0
+                while server.requests < polled + 3 and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert server.requests >= polled + 3, "the worker stopped polling"
+                assert thread.is_alive()
+            finally:
+                worker.stop()
+                thread.join(timeout=5)
+            assert not thread.is_alive()
+            worker.close()
+        finally:
+            server.close()
+
+
+class TestShutdown:
+    def test_stop_is_prompt_and_sends_no_408(self):
+        # one connection idles between keep-alive requests, one worker
+        # is parked in a feed wait: stop() cancels both without
+        # answering either as a timed-out request
+        harness = _figure1_harness()
+        harness.start()
+        stopped = False
+        idle = _Http(harness.host, harness.port, timeout=5.0)
+        try:
+            assert idle.request("GET", "/v1/healthz")["role"] == "primary"
+            parked = socket.create_connection((harness.host, harness.port))
+            parked.sendall(
+                b"GET /v1/worker/feed?worker=w9&wait=30 HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            time.sleep(0.3)  # the feed is waiting for work
+            start = time.monotonic()
+            harness.stop()
+            stopped = True
+            elapsed = time.monotonic() - start
+            assert elapsed < 5.0, f"stop() took {elapsed:.1f}s"
+            assert idle._reader.read() == b""  # closed, nothing written
+            with parked:
+                assert _recv_all(parked, timeout=2.0) == b""
+        finally:
+            idle.close()
+            if not stopped:
+                harness.stop()
 
 
 class TestDuplicateAnswers:
