@@ -98,22 +98,44 @@ def fabricate_fact(
     facts = sorted(ground_truth, key=repr) if relation is None else sorted(
         ground_truth.facts(relation), key=repr
     )
-    if not facts:
-        raise NoiseError("cannot fabricate from an empty relation")
-    for _ in range(max_tries):
-        base = rng.choice(facts)
-        position = rng.randrange(base.arity)
-        pool = sorted(
-            v
-            for v in ground_truth.active_domain(base.relation, position)
-            if v != base.values[position]
-        )
-        if not pool:
-            continue
-        candidate = base.replace(position, rng.choice(pool))
-        if candidate not in ground_truth and candidate not in forbidden:
-            return candidate
-    raise NoiseError("exhausted attempts to fabricate a false fact")
+    return _Fabricator(ground_truth, facts).fabricate(forbidden, rng, max_tries)
+
+
+class _Fabricator:
+    """:func:`fabricate_fact`'s draws over candidate *facts* already
+    sorted by ``repr``, each column's sorted active domain built at most
+    once: fabricating many facts sorts nothing twice, and the rng draws
+    are the same as one :func:`fabricate_fact` call per fact."""
+
+    def __init__(self, ground_truth: Database, facts: list[Fact]) -> None:
+        self.ground_truth = ground_truth
+        self.facts = facts
+        self._domains: dict[tuple[str, int], list[Constant]] = {}
+
+    def _domain(self, relation: str, position: int) -> list[Constant]:
+        domain = self._domains.get((relation, position))
+        if domain is None:
+            domain = self._domains[relation, position] = sorted(
+                self.ground_truth.active_domain(relation, position)
+            )
+        return domain
+
+    def fabricate(
+        self, forbidden: set[Fact], rng: random.Random, max_tries: int = 200
+    ) -> Fact:
+        if not self.facts:
+            raise NoiseError("cannot fabricate from an empty relation")
+        for _ in range(max_tries):
+            base = rng.choice(self.facts)
+            position = rng.randrange(base.arity)
+            value = base.values[position]
+            pool = [v for v in self._domain(base.relation, position) if v != value]
+            if not pool:
+                continue
+            candidate = base.replace(position, rng.choice(pool))
+            if candidate not in self.ground_truth and candidate not in forbidden:
+                return candidate
+        raise NoiseError("exhausted attempts to fabricate a false fact")
 
 
 def make_dirty(
@@ -135,7 +157,8 @@ def make_dirty(
     false_count, missing_count = spec.counts(len(ground_truth))
     dirty = ground_truth.copy()
 
-    removable = sorted((f for f in ground_truth if f not in protected), key=repr)
+    ordered = sorted(ground_truth, key=repr)
+    removable = [f for f in ordered if f not in protected]
     if missing_count > len(removable):
         raise NoiseError(
             f"cannot remove {missing_count} facts; only {len(removable)} removable"
@@ -143,9 +166,10 @@ def make_dirty(
     for fact in rng.sample(removable, missing_count):
         dirty.delete(fact)
 
+    fabricator = _Fabricator(ground_truth, ordered)
     added: set[Fact] = set()
     for _ in range(false_count):
-        fake = fabricate_fact(ground_truth, added, rng)
+        fake = fabricator.fabricate(added, rng)
         added.add(fake)
         dirty.insert(fake)
     return dirty

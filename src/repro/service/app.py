@@ -211,11 +211,26 @@ class CrowdService:
         if self._loop is not None and self._work_chain is not None:
             self._loop.call_soon_threadsafe(self._work_chain.wake)
 
+    def _wake_at(self, due: float) -> None:
+        """Wake the lease waiters once the monotonic instant *due* has
+        passed (re-armed if the timer fires early)."""
+        assert self._loop is not None and self._work_chain is not None
+        delay = due - time.monotonic()
+        if delay > 0:
+            self._loop.call_later(delay, self._wake_at, due)
+        else:
+            self._work_chain.wake()
+
     async def _housekeeping(self) -> None:
         while True:
             await asyncio.sleep(self.tick)
             now = time.monotonic()
-            self.broker.expire(now)
+            if self.broker.expire(now):
+                # a retry becomes leasable only when its backoff ends;
+                # the waiters expire() just woke found nothing due
+                due = self.broker.next_retry(now)
+                if due is not None:
+                    self._wake_at(due)
             # evict finished sessions past their retention window so
             # _entries (and every admission scan over it) stays bounded
             evict = [

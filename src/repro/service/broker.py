@@ -411,6 +411,19 @@ class QuestionBroker:
             self._notify()
         return expired
 
+    def next_retry(self, now: float) -> Optional[float]:
+        """The earliest instant after *now* at which a backed-off retry
+        becomes leasable, or ``None`` when no retry is waiting out its
+        backoff.  :meth:`expire`'s wake-up comes before that instant, so
+        whoever waits on leases must be woken again then."""
+        with self._lock:
+            due = [
+                question.not_before
+                for question in self._questions.values()
+                if not question.done and question.not_before > now
+            ]
+        return min(due, default=None)
+
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------

@@ -6,7 +6,9 @@ QOCO loops:
 1. **Partition** the database by the :class:`PartitionSpec`'s blocking
    keys into per-shard payloads (replicated dimension relations go to
    every shard) — plain row lists, no canonical sort, so the serial
-   parent fraction stays small.
+   parent fraction stays small.  A payload carries rows only for the
+   relations the query names, positively or under ``not``: nothing a
+   shard's QOCO loop asks or edits lies outside them.
 2. **Clean** every relevant shard with an independent QOCO instance —
    in worker *processes* (``mode="process"``, multiprocessing spawn) or
    sequentially in-process (``mode="inline"``, same codec path, for
@@ -228,6 +230,7 @@ class ShardedQOCO:
         self.router.session_query = query
         config_obj = wire.config_to_obj(self.config)  # validates spawn-safety
         query_obj = codec.query_to_obj(query)
+        relations = {atom.relation for atom in query.atoms + query.negated_atoms}
         report = ShardReport(
             query_name=query.name,
             shards=self.shards,
@@ -251,7 +254,7 @@ class ShardedQOCO:
                 report.rounds += 1
                 with _TELEMETRY.span("shard.partition"):
                     payloads = self.spec.partition_payloads(
-                        self.database, self.shards
+                        self.database, self.shards, relations
                     )
                 if self.mode == "process":
                     results = self._run_round_process(

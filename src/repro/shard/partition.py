@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Collection, Iterable, Mapping, Optional
 
 from ..db.database import Database
 from ..db.io import _schema_from_dict, _schema_to_dict
@@ -159,16 +159,22 @@ class PartitionSpec:
             )
 
     # -- partitioning ----------------------------------------------------
-    def partition_payloads(self, database: Database, shards: int) -> list[dict]:
+    def partition_payloads(
+        self,
+        database: Database,
+        shards: int,
+        relations: Optional[Collection[str]] = None,
+    ) -> list[dict]:
         """Split *database* into *shards* JSON-serializable payloads.
 
         Each payload is the ``canonical=False`` database form: schema +
         ``{relation: [row, ...]}``.  Partitioned relations are split by
         blocking key; replicated relations share one row list across all
-        payloads (serialization copies them per worker).  Deliberately
-        no :class:`Database` construction and no canonical sort — this
-        runs in the parent and is the serial fraction of a sharded
-        clean.
+        payloads (serialization copies them per worker).  With
+        *relations*, only those relations carry rows: every other one
+        keeps its schema and arrives empty.  Deliberately no
+        :class:`Database` construction and no canonical sort — this runs
+        in the parent and is the serial fraction of a sharded clean.
         """
         if shards < 1:
             raise ShardingError(f"need at least one shard, got {shards}")
@@ -180,6 +186,8 @@ class PartitionSpec:
         # dict hit, not a crc32 over canonical JSON
         shard_by_key: dict[Constant, int] = {}
         for rel in database.schema:
+            if relations is not None and rel.name not in relations:
+                continue
             spec = self._by_relation.get(rel.name)
             if spec is None:
                 shared[rel.name] = [list(f.values) for f in database.facts(rel.name)]

@@ -16,6 +16,7 @@ or databases.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import traceback
 from typing import Callable, Iterable, Mapping, Optional
@@ -138,6 +139,11 @@ def run_shard(
     *on_ready* (if given) receives the shard's initial answer set —
     wire-encoded, sorted — before any cleaning question is asked, so
     the router can scope ``COMPL(Q(D))`` across all shards.
+
+    The registration answers, the clean and the final answers all read
+    the fork through one backend instance: a columnar store belongs to
+    one (backend, database) pair, so the shard's relations are encoded
+    once, not once per reader.
     """
     start = time.perf_counter()
     if database is None:
@@ -145,15 +151,15 @@ def run_shard(
     query = codec.query_from_obj(payload["query"])
     config = wire.config_from_obj(payload["config"])
     backend = resolve_backend(config.backend)
-    if on_ready is not None:
-        on_ready(wire.answers_to_obj(backend.evaluate(query, database)))
     fork = database.fork()
+    if on_ready is not None:
+        on_ready(wire.answers_to_obj(backend.evaluate(query, fork)))
     proxy: Oracle = ProxyOracle(ask, session_query=query)
     latency = payload.get("oracle_latency") or 0.0
     if latency > 0.0:
         proxy = LatencyOracle(proxy, latency)
     oracle = AccountingOracle(proxy)
-    report = QOCO(fork, oracle, config).clean(query)
+    report = QOCO(fork, oracle, dataclasses.replace(config, backend=backend)).clean(query)
     return {
         "report": wire.report_to_obj(report),
         "edits": fork.export_edit_log(),

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.datasets import figure1_ground_truth
 from repro.datasets.noise import (
     NoiseError,
     NoiseSpec,
@@ -41,6 +42,37 @@ class TestNoiseSpec:
             NoiseSpec(skewness=1.5)
 
 
+def _per_fact_sort_make_dirty(ground_truth, spec, rng):
+    """``make_dirty`` as first written: every false fact re-sorts the
+    ground truth by ``repr`` and every try re-sorts its column's domain.
+    The draws it makes are the ones ``make_dirty`` must reproduce."""
+    false_count, missing_count = spec.counts(len(ground_truth))
+    dirty = ground_truth.copy()
+    for fact in rng.sample(sorted(ground_truth, key=repr), missing_count):
+        dirty.delete(fact)
+    added = set()
+    for _ in range(false_count):
+        facts = sorted(ground_truth, key=repr)
+        for _ in range(200):
+            base = rng.choice(facts)
+            position = rng.randrange(base.arity)
+            pool = sorted(
+                v
+                for v in ground_truth.active_domain(base.relation, position)
+                if v != base.values[position]
+            )
+            if not pool:
+                continue
+            fake = base.replace(position, rng.choice(pool))
+            if fake not in ground_truth and fake not in added:
+                break
+        else:
+            raise NoiseError("exhausted attempts to fabricate a false fact")
+        added.add(fake)
+        dirty.insert(fake)
+    return dirty
+
+
 class TestMakeDirty:
     @pytest.mark.parametrize("cleanliness", [0.6, 0.8, 0.95])
     @pytest.mark.parametrize("skewness", [0.0, 0.5, 1.0])
@@ -73,6 +105,26 @@ class TestMakeDirty:
     def test_measures_on_identical_pair(self, worldcup_gt):
         assert measure_cleanliness(worldcup_gt, worldcup_gt) == 1.0
         assert measure_skewness(worldcup_gt, worldcup_gt) == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "cleanliness,skewness", [(0.6, 1.0), (0.7, 0.5), (0.8, 0.0), (0.9, 0.3)]
+    )
+    def test_matches_a_per_fact_sort_reference(self, seed, cleanliness, skewness):
+        truth = figure1_ground_truth()
+        spec = NoiseSpec(cleanliness=cleanliness, skewness=skewness)
+        dirty = make_dirty(truth, spec, random.Random(seed))
+        expected = _per_fact_sort_make_dirty(truth, spec, random.Random(seed))
+        assert dirty.state_digest() == expected.state_digest()
+
+    def test_worldcup_digest_is_unchanged(self, worldcup_gt):
+        # recorded when make_dirty still sorted the ground truth once per
+        # false fact; sorting once must draw the same dirty database
+        spec = NoiseSpec(cleanliness=0.6, skewness=1.0)
+        dirty = make_dirty(worldcup_gt, spec, random.Random(7))
+        assert dirty.state_digest() == (
+            "604fceb78f9fe701ca631714d09ef5c6a273e2261eca145e3fb051a92db2a64c"
+        )
 
     def test_result_cleanliness(self, worldcup_gt):
         from repro.datasets.noise import measure_result_cleanliness

@@ -491,3 +491,47 @@ class TestBrokerBoundedMemory:
                 finally:
                     worker.stop()
                 assert doc["state"] == "committed"
+
+    def test_parked_feed_leases_the_retry_when_its_backoff_ends(self):
+        # the expiry wakes the parked feed before the retry's backoff
+        # has passed; the feed must be woken again then, not sleep out
+        # its whole wait=20
+        workload = build_workload("figure1")
+        manager = SessionManager(workload.dirty.copy(), mode="sync")
+        policy = RetryPolicy(
+            timeout=0.5, max_retries=4, backoff_base=0.3, backoff_factor=1.0
+        )
+        with ServiceHarness(manager, policy=policy, tick=0.1) as harness:
+            with ServiceClient(harness.host, harness.port) as client:
+                client.open(workload.queries[0])
+                ghost = client._http.request(
+                    "GET", "/v1/worker/feed?worker=ghost&wait=20"
+                )["question"]
+                assert ghost is not None
+                parked = time.monotonic()
+                retry = client._http.request(
+                    "GET", "/v1/worker/feed?worker=parked&wait=20"
+                )["question"]
+                waited = time.monotonic() - parked
+                assert retry is not None and retry["qid"] == ghost["qid"]
+                assert client.stats()["broker"]["expired_leases"] == 1
+                # lease timeout 0.5 + tick 0.1 + backoff 0.3, with slack
+                assert waited < 2.0, waited
+                oracle = PerfectOracle(workload.ground_truth)
+                client._http.request(
+                    "POST", "/v1/worker/answer",
+                    {
+                        "worker": "parked",
+                        "qid": retry["qid"],
+                        "reply": answer_question(
+                            oracle, wire.question_from_obj(retry["question"])
+                        ),
+                    },
+                )
+                worker = WorkerClient(harness.host, harness.port, "parked", oracle)
+                worker.start_thread()
+                try:
+                    doc = client.wait(0, timeout=120.0)
+                finally:
+                    worker.stop()
+                assert doc["state"] == "committed"

@@ -33,7 +33,13 @@ from repro.db.tuples import Fact
 from repro.dispatch.dedup import AnswerBoard
 from repro.oracle.perfect import PerfectOracle
 from repro.query.parser import parse_query
-from repro.shard import PartitionSpec, KeySpec, ShardedQOCO, ShardingError
+from repro.shard import (
+    KeySpec,
+    PartitionSpec,
+    ShardedQOCO,
+    ShardingError,
+    payload_to_database,
+)
 from repro.telemetry import telemetry_session
 
 Q3 = parse_query(
@@ -334,6 +340,113 @@ class TestProcessMode:
             assert process["edit_logs"] == inline["edit_logs"]
             # the order follows how the workers' questions interleave
             assert sorted(process["questions"]) == sorted(inline["questions"])
+
+
+NOTED = Schema(
+    [
+        RelationSchema("m", ("k", "x")),
+        RelationSchema("lab", ("x", "y")),
+        RelationSchema("note", ("x", "text")),
+    ]
+)
+
+
+def _noted_db(m_rows, lab_rows, note_rows):
+    return Database(
+        NOTED,
+        [Fact("m", tuple(row)) for row in m_rows]
+        + [Fact("lab", tuple(row)) for row in lab_rows]
+        + [Fact("note", tuple(row)) for row in note_rows],
+    )
+
+
+def _record_shipped(monkeypatch) -> list[dict]:
+    """Record the database part of every payload the driver hands a shard."""
+    from repro.shard import driver
+
+    shipped: list[dict] = []
+    run_shard = driver.run_shard
+
+    def recording(payload, ask, on_ready=None, database=None):
+        shipped.append(payload["database"])
+        return run_shard(payload, ask, on_ready, database)
+
+    monkeypatch.setattr(driver, "run_shard", recording)
+    return shipped
+
+
+def _loaded(payload: dict) -> set[str]:
+    """The relations a shard payload carries rows for."""
+    return {relation for relation, rows in payload["facts"].items() if rows}
+
+
+class TestShippedRelations:
+    """A shard payload carries rows only for the relations its query
+    names, positively or under ``not``; every schema travels."""
+
+    def test_q3_ships_games_stages_and_teams(self, worldcup_pair, monkeypatch):
+        truth, dirty = worldcup_pair
+        shipped = _record_shipped(monkeypatch)
+        ShardedQOCO(
+            dirty.copy(), PerfectOracle(truth), spec=worldcup_partition_spec(),
+            shards=2, mode="inline",
+        ).clean(Q3)
+        assert len(shipped) == 2
+        for payload in shipped:
+            assert _loaded(payload) == {"games", "stages", "teams"}
+            shard_db = payload_to_database(payload)
+            assert shard_db.schema == dirty.schema
+            for relation in ("goals", "players", "clubs"):
+                assert dirty.facts(relation) and not shard_db.facts(relation)
+
+    def test_a_relation_read_only_under_not_is_shipped(self, monkeypatch):
+        rows = [(k, f"x{k}") for k in range(6)]
+        truth = _noted_db(rows, [("x1", "z")], [("x0", "hi")])
+        dirty = _noted_db(rows + [(9, "x9")], [("x1", "z")], [("x0", "hi")])
+        query = parse_query('qn(k, x) :- m(k, x), not lab(x, "z").')
+        shipped = _record_shipped(monkeypatch)
+        merged = dirty.copy()
+        ShardedQOCO(
+            merged, PerfectOracle(truth), spec=SPEC, shards=2, mode="inline"
+        ).clean(query)
+        assert shipped and all(_loaded(p) == {"m", "lab"} for p in shipped)
+        # without its lab rows a shard would call k=1 an answer and the
+        # oracle's "wrong" would delete the true m(1, x1)
+        assert merged.state_digest() == truth.state_digest()
+
+    def test_a_replicated_only_query_ships_shard_0_its_relations(self, monkeypatch):
+        truth = _noted_db([(1, "x1")], [("x1", "y")], [("x1", "hi")])
+        dirty = _noted_db([(1, "x1")], [("x1", "y"), ("bad", "y")], [("x1", "hi")])
+        shipped = _record_shipped(monkeypatch)
+        report = ShardedQOCO(
+            dirty, PerfectOracle(truth), spec=SPEC, shards=4, mode="inline"
+        ).clean(parse_query("q(x) :- lab(x, y)."))
+        assert {o.shard for o in report.outcomes} == {0}
+        assert len(shipped) == 1 and _loaded(shipped[0]) == {"lab"}
+        assert dirty.state_digest() == truth.state_digest()
+
+
+class TestColumnarBuilds:
+    """``backend.columnar.builds`` counts one relation encoded into one
+    columnar store; Q3 reads three relations."""
+
+    def _builds(self, worldcup_pair, mode: str) -> float:
+        truth, dirty = worldcup_pair
+        with telemetry_session() as (hub, _):
+            ShardedQOCO(
+                dirty.copy(), PerfectOracle(truth), spec=worldcup_partition_spec(),
+                shards=2, mode=mode, backend="columnar",
+            ).clean(Q3)
+            return hub.counter("backend.columnar.builds")
+
+    def test_a_worker_encodes_each_query_relation_once(self, worldcup_pair):
+        # registration, the clean and the final answers share one store
+        assert self._builds(worldcup_pair, "process") == 2 * 3
+
+    def test_inline_adds_only_the_parent_registration_store(self, worldcup_pair):
+        # inline mode evaluates every shard's registration answers in the
+        # parent, on the shard's base database, before any shard runs
+        assert self._builds(worldcup_pair, "inline") == 2 * 3 * 2
 
 
 HASH_SEED_SCRIPT = textwrap.dedent(

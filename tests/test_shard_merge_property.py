@@ -116,3 +116,52 @@ def test_shard_edit_logs_touch_disjoint_facts(pair):
     for i, a in enumerate(touched):
         for b in touched[i + 1 :]:
             assert not (a & b)
+
+
+NOTED = Schema(
+    [
+        RelationSchema("m", ("k", "x")),
+        RelationSchema("lab", ("x", "y")),
+        RelationSchema("block", ("x",)),
+        RelationSchema("note", ("x", "text")),
+    ]
+)
+#: reads the replicated ``block`` only under ``not``, and ``note`` not at all
+QN = parse_query("qn(k, x) :- m(k, x), lab(x, y), not block(x).")
+
+
+@st.composite
+def noted_instances(draw):
+    """:func:`instances` plus blocked x-values (the same in both
+    databases) and notes the query never reads, some of them noise."""
+    truth, dirty = draw(instances())
+    blocked = draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=4))
+    block = [Fact("block", (f"x{k}",)) for k in blocked]
+    noted = draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=4))
+    notes = [Fact("note", (f"x{k}", "kept")) for k in noted]
+    noise = [Fact("note", (f"x{k}", "noise")) for k in KEYS if k not in noted]
+    return (
+        Database(NOTED, list(truth) + block + notes),
+        Database(NOTED, list(dirty) + block + notes + noise),
+    )
+
+
+@given(noted_instances())
+@settings(max_examples=25, deadline=None)
+def test_unread_and_negated_relations_keep_the_unsharded_clean(pair):
+    truth, dirty = pair
+
+    reference = dirty.copy()
+    fork = reference.fork()
+    QOCO(fork, PerfectOracle(truth)).clean(QN)
+    reference.apply_exported(fork.export_edit_log())
+
+    merged = dirty.copy()
+    ShardedQOCO(
+        merged, PerfectOracle(truth), spec=SPEC, shards=2, mode="inline",
+        verify_merge=True,
+    ).clean(QN)
+    assert merged.state_digest() == reference.state_digest()
+    # the clean never reads note, so its noise survives untouched
+    assert merged.facts("note") == dirty.facts("note")
+    assert merged.facts("block") == truth.facts("block")

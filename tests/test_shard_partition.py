@@ -110,6 +110,14 @@ class TestPartitionSpec:
         payloads = SPEC.partition_payloads(db, 1)
         assert payload_to_database(payloads[0]).state_digest() == db.state_digest()
 
+    def test_only_named_relations_carry_rows(self):
+        db = _db([(k, "x") for k in range(9)], [("x", "y"), ("z", "w")])
+        for payload in SPEC.partition_payloads(db, 3, {"lab"}):
+            shard_db = payload_to_database(payload)
+            assert shard_db.schema == db.schema
+            assert shard_db.facts("lab") == db.facts("lab")
+            assert not shard_db.facts("m")
+
     def test_facts_land_on_their_key_shard(self):
         db = _db([(k, "x") for k in range(20)], [])
         shards = SPEC.partition_database(db, 3)
