@@ -23,6 +23,12 @@ parallelism Appendix B describes.  The one expensive simulation
 artifact — ``PerfectOracle``'s ground-truth evaluation — is warmed once
 up front and shared across runs so no timed window measures it.
 
+The compute speedup is reported apart from that: the unsharded clean
+and a ``SHARDS``-worker clean, both with an instant crowd, each timed
+``COMPUTE_RUNS`` times on fresh copies of the dirty database;
+``compute_speedup`` is the ratio of their medians.  It is recorded, not
+gated.
+
 Run under pytest (``pytest benchmarks/bench_shard.py``, reduced scale)
 or as a script (``python benchmarks/bench_shard.py [out.json]``), which
 writes ``BENCH_shard.json`` at full scale.
@@ -31,6 +37,7 @@ writes ``BENCH_shard.json`` at full scale.
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 
@@ -57,6 +64,8 @@ SPEEDUP_FLOOR = 3.0
 #: simulated crowd response per charged question, seconds (a live crowd
 #: is ~5 orders of magnitude slower; see docs/sharding.md)
 ORACLE_LATENCY = 0.002
+#: timed repeats of each latency-free clean behind ``compute_speedup``
+COMPUTE_RUNS = 3
 
 
 def available_cpus() -> int:
@@ -96,7 +105,7 @@ def run_unsharded(oracle, dirty):
     }
 
 
-def run_sharded(oracle, dirty, shards: int):
+def run_sharded(oracle, dirty, shards: int, oracle_latency: float = ORACLE_LATENCY):
     merged = dirty.copy()
     driver = ShardedQOCO(
         merged,
@@ -104,7 +113,7 @@ def run_sharded(oracle, dirty, shards: int):
         spec=worldcup_partition_spec(),
         shards=shards,
         mode="process",
-        oracle_latency=ORACLE_LATENCY,
+        oracle_latency=oracle_latency,
         backend="columnar",
     )
     report = driver.clean(Q3)
@@ -124,12 +133,24 @@ def run_sharded(oracle, dirty, shards: int):
     }
 
 
+def compute_seconds(oracle, dirty) -> tuple[float, float]:
+    """Median seconds of the unsharded and the ``SHARDS``-worker clean,
+    both with an instant crowd."""
+    unsharded = [run_unsharded(oracle, dirty)["seconds"] for _ in range(COMPUTE_RUNS)]
+    sharded = [
+        run_sharded(oracle, dirty, SHARDS, oracle_latency=0.0)["seconds"]
+        for _ in range(COMPUTE_RUNS)
+    ]
+    return statistics.median(unsharded), statistics.median(sharded)
+
+
 def bench_report(replicas: int = REPLICAS) -> dict:
     truth, dirty, injected, oracle = build_workload(replicas)
     unsharded = run_unsharded(oracle, dirty)
     single = run_sharded(oracle, dirty, 1)
     parallel = run_sharded(oracle, dirty, SHARDS)
     speedup = single["seconds"] / parallel["seconds"] if parallel["seconds"] else 0.0
+    unsharded_compute_s, sharded_compute_s = compute_seconds(oracle, dirty)
     cpus = available_cpus()
     result = {
         "workload": {
@@ -146,6 +167,9 @@ def bench_report(replicas: int = REPLICAS) -> dict:
         "sharded_1": single,
         "sharded_n": parallel,
         "speedup": speedup,
+        "unsharded_compute_s": unsharded_compute_s,
+        "sharded_compute_s": sharded_compute_s,
+        "compute_speedup": unsharded_compute_s / sharded_compute_s,
     }
     result["metrics"] = {
         # deterministic workload shape and outcome: bit-exact across runs
@@ -214,6 +238,12 @@ def main(argv: list[str]) -> int:
         row = result[name]
         print(f"{name:10s} {row['seconds']:6.1f}s  digest {row['digest'][:16]}")
     print(f"speedup {result['speedup']:.2f}x at {workload['shards']} shard processes")
+    print(
+        f"compute   {result['unsharded_compute_s']:6.1f}s unsharded, "
+        f"{result['sharded_compute_s']:.1f}s at {workload['shards']} shard processes "
+        f"(no crowd latency, median of {COMPUTE_RUNS}): "
+        f"{result['compute_speedup']:.2f}x"
+    )
     failures = check(result)
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -4,9 +4,9 @@
 fork the shard database, run an unchanged :class:`~repro.core.qoco.QOCO`
 loop against a :class:`ProxyOracle`, and return the fork's exported edit
 log plus the per-shard report slice.  :func:`shard_worker_main` is the
-``multiprocessing`` (spawn) entry point that wires the core to a duplex
-pipe: it registers the shard's initial answer set, relays questions, and
-ships the result (plus a telemetry snapshot for
+``multiprocessing`` entry point, forked or spawned, that wires the core
+to a duplex pipe: it registers the shard's initial answer set, relays
+questions, and ships the result (plus a telemetry snapshot for
 :meth:`~repro.telemetry.core.Telemetry.merge`) back to the parent.
 
 Everything crossing the boundary is a wire object (see
@@ -17,6 +17,7 @@ or databases.
 from __future__ import annotations
 
 import dataclasses
+import signal
 import time
 import traceback
 from typing import Callable, Iterable, Mapping, Optional
@@ -27,7 +28,7 @@ from ..db.tuples import Constant, Fact
 from ..durability import codec
 from ..oracle.base import AccountingOracle, Oracle
 from ..query.ast import Query, Var
-from ..query.backend import resolve_backend
+from ..query.backend import EvalBackend, resolve_backend
 from ..query.evaluator import Answer, Assignment
 from . import wire
 from .partition import payload_to_database
@@ -132,7 +133,8 @@ def run_shard(
     payload: dict,
     ask: Callable[[dict], dict],
     on_ready: Optional[Callable[[list], None]] = None,
-    database: Optional[Database] = None,
+    fork: Optional[Database] = None,
+    backend: Optional[EvalBackend] = None,
 ) -> dict:
     """Clean one shard payload; return the wire-encoded result.
 
@@ -143,15 +145,16 @@ def run_shard(
     The registration answers, the clean and the final answers all read
     the fork through one backend instance: a columnar store belongs to
     one (backend, database) pair, so the shard's relations are encoded
-    once, not once per reader.
+    once, not once per reader.  A caller that has already evaluated the
+    shard (inline mode) passes that *fork* and *backend* instead.
     """
     start = time.perf_counter()
-    if database is None:
-        database = payload_to_database(payload["database"])
     query = codec.query_from_obj(payload["query"])
     config = wire.config_from_obj(payload["config"])
-    backend = resolve_backend(config.backend)
-    fork = database.fork()
+    if fork is None:
+        fork = payload_to_database(payload["database"]).fork()
+    if backend is None:
+        backend = resolve_backend(config.backend)
     if on_ready is not None:
         on_ready(wire.answers_to_obj(backend.evaluate(query, fork)))
     proxy: Oracle = ProxyOracle(ask, session_query=query)
@@ -168,7 +171,7 @@ def run_shard(
     }
 
 
-def shard_worker_main(conn, shard: int) -> None:
+def shard_worker_main(conn, shard: int, inherited: tuple = ()) -> None:
     """``multiprocessing`` entry point (spawn-safe: module-level, plain
     picklable arguments).
 
@@ -176,8 +179,20 @@ def shard_worker_main(conn, shard: int) -> None:
     argument: ``Process.start()`` then returns without waiting for this
     process to import its modules, and the parent starts every worker
     before it sends any payload.
+
+    A forked worker starts from a copy of its parent, and sheds what
+    belongs to the parent first: the telemetry hub's aggregates and
+    sinks, a SIGTERM handler that could keep the driver's ``terminate()``
+    from stopping it, and *inherited*, its copies of the parent's pipe
+    ends (the parent's death reaches ``conn`` as EOF only once every
+    copy of the other end is closed).
     """
     from ..telemetry import TELEMETRY
+
+    TELEMETRY.detach()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for end in inherited:
+        end.close()
 
     def ask(question_obj: dict) -> dict:
         conn.send(("ask", shard, question_obj))

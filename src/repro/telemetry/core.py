@@ -158,6 +158,8 @@ class Telemetry:
         self._histograms: dict[str, HistogramStat] = {}
         self._span_stats: dict[str, SpanStat] = {}
         self._stack: list[Span] = []
+        #: sinks set aside by :meth:`detach`, kept referenced, never used
+        self._detached_sinks: list = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -192,6 +194,21 @@ class Telemetry:
         self._histograms.clear()
         self._span_stats.clear()
         self._stack.clear()
+
+    def detach(self) -> None:
+        """Return to a new hub's state: disabled, with no aggregates and
+        no sinks.
+
+        A process forked from the hub's owner calls this first, since
+        everything the hub holds is the owner's.  The sinks are set aside
+        without :meth:`flush` or :meth:`close` (flushing a copied JSONL
+        buffer would write the owner's records a second time) and stay
+        referenced, so that no finalizer flushes them either.
+        """
+        self.enabled = False
+        self._detached_sinks.extend(self._sinks)
+        self._sinks = []
+        self.reset()
 
     def flush(self) -> None:
         for sink in self._sinks:
