@@ -54,8 +54,10 @@ def crowd_remove_wrong_answer_composite(
     sets, edits = _prune_with_knowledge(sets, oracle)
 
     while sets:
-        sets, inferred = _consume_singletons(sets, oracle)
-        edits += inferred
+        sets, inferred = _consume_singletons(query, sets)
+        for fact in inferred:
+            edits.append(delete(fact))
+            oracle.remember_fact(fact, False)
         if not sets:
             break
         if any(not s for s in sets):

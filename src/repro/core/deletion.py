@@ -30,6 +30,7 @@ from ..query.ast import Query
 from ..query.evaluator import Answer, Evaluator
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .registry import REGISTRY
+from .tasks import Task, drive
 
 
 class DeletionError(RuntimeError):
@@ -43,6 +44,9 @@ class DeletionStrategy(ABC):
     name: str = "abstract"
     #: Apply the singleton rule (unique-minimal-hitting-set inference)?
     infer_singletons: bool = False
+    #: Verify every distinct witness fact in random order instead of
+    #: choosing one fact at a time (the Random baseline)?
+    verify_all: bool = False
 
     @abstractmethod
     def choose(self, sets: list[frozenset], rng: random.Random) -> Fact:
@@ -74,10 +78,12 @@ class QOCOMinusDeletion(DeletionStrategy):
 
 
 class RandomDeletion(DeletionStrategy):
-    """Uniformly random fact among the remaining witnesses' tuples."""
+    """Verify every witness fact in random order (``choose`` draws one
+    uniformly among the remaining witnesses' tuples)."""
 
     name = "Random"
     infer_singletons = False
+    verify_all = True
 
     def choose(self, sets: list[frozenset], rng: random.Random) -> Fact:
         pool = sorted({f for s in sets for f in s}, key=repr)
@@ -116,44 +122,72 @@ def crowd_remove_wrong_answer(
             witnesses = [
                 frozenset(w) for w in Evaluator(query, database).witnesses(answer)
             ]
-        sets: list[frozenset] = list(witnesses)
         if tel.enabled:
-            tel.observe("deletion.witnesses_per_answer", len(sets))
+            tel.observe("deletion.witnesses_per_answer", len(witnesses))
         # Facts already known false (from earlier questions this run) destroy
         # their witnesses for free; known-true facts can be pre-pruned.
-        sets, edits = _prune_with_knowledge(sets, oracle)
+        sets, edits = _prune_with_knowledge(list(witnesses), oracle)
+        edits += drive(removal_task(query, answer, sets, strategy, rng), oracle)
+        if apply:
+            database.apply(edits)
+        return edits
 
-        if isinstance(strategy, RandomDeletion):
-            edits += _verify_everything(sets, oracle, rng)
-            if apply:
-                database.apply(edits)
-            return edits
 
-        while sets:
-            if strategy.infer_singletons:
-                sets, inferred = _consume_singletons(sets, oracle)
-                edits += inferred
-                if not sets:
-                    break
+def removal_task(
+    query: Query,
+    answer: Answer,
+    witnesses: list[frozenset],
+    strategy: DeletionStrategy,
+    rng: random.Random,
+) -> Task:
+    """Algorithm 1 over *answer*'s witness sets, one question per yield.
+
+    Returns the deletion edits without applying them.  Raises
+    :class:`DeletionError` when a witness has every fact deemed true.
+    """
+    sets = list(witnesses)
+    edits: list[Edit] = []
+
+    if strategy.verify_all:
+        # The Random baseline verifies every distinct witness fact.
+        pool = sorted({f for s in sets for f in s}, key=repr)
+        rng.shuffle(pool)
+        for fact in pool:
+            if (yield ("verify_fact", fact)):
+                sets = [s - {fact} for s in sets]
+            else:
+                edits.append(delete(fact))
+                sets = [s for s in sets if fact not in s]
+        # A set still present had every member verified true (possible
+        # only with a lying crowd).
+        if sets:
+            raise DeletionError("witnesses survived full verification")
+        return edits
+
+    while sets:
+        if strategy.infer_singletons:
+            sets, inferred = _consume_singletons(query, sets)
+            for fact in inferred:
+                edits.append(delete(fact))
+                yield ("remember", fact, False)
+            if not sets:
+                break
+        if any(not s for s in sets):
+            raise DeletionError(
+                f"answer {answer!r} has a witness whose facts were all deemed true"
+            )
+        fact = strategy.choose(sets, rng)
+        _TELEMETRY.count("deletion.facts_asked")
+        if (yield ("verify_fact", fact)):
+            sets = [s - {fact} for s in sets]
             if any(not s for s in sets):
                 raise DeletionError(
                     f"answer {answer!r} has a witness whose facts were all deemed true"
                 )
-            fact = strategy.choose(sets, rng)
-            tel.count("deletion.facts_asked")
-            if oracle.verify_fact(fact):
-                sets = [s - {fact} for s in sets]
-                if any(not s for s in sets):
-                    raise DeletionError(
-                        f"answer {answer!r} has a witness whose facts were all deemed true"
-                    )
-            else:
-                edits.append(delete(fact))
-                sets = [s for s in sets if fact not in s]
-
-        if apply:
-            database.apply(edits)
-        return edits
+        else:
+            edits.append(delete(fact))
+            sets = [s for s in sets if fact not in s]
+    return edits
 
 
 def _prune_with_knowledge(
@@ -179,52 +213,28 @@ def _prune_with_knowledge(
 
 
 def _consume_singletons(
-    sets: list[frozenset], oracle: AccountingOracle
-) -> tuple[list[frozenset], list[Edit]]:
-    """Algorithm 1 lines 2-4: delete singleton facts without asking.
+    query: Query, sets: list[frozenset]
+) -> tuple[list[frozenset], list[Fact]]:
+    """Algorithm 1 lines 2-4: the facts to delete without asking, and
+    the witnesses they leave.
 
     Because the wrong answer has at least one false fact per witness and
     all other facts of a singleton's witness were verified true, the
-    singleton's fact must be false (Theorem 4.5) — remember it as such.
+    singleton's fact must be false (Theorem 4.5); the caller remembers
+    it as such.  With a negated atom in *query* that premise fails: a
+    wrong answer may only lack a blocker, so every witness fact can be
+    true, and nothing is inferred.
     """
-    edits: list[Edit] = []
-    changed = True
-    while changed:
-        changed = False
-        singles = sorted(
-            {next(iter(s)) for s in sets if len(s) == 1}, key=repr
-        )
+    inferred: list[Fact] = []
+    if query.negated_atoms:
+        return sets, inferred
+    while True:
+        singles = sorted({next(iter(s)) for s in sets if len(s) == 1}, key=repr)
         if not singles:
-            break
-        for fact in singles:
-            edits.append(delete(fact))
-            oracle.remember_fact(fact, False)
-            _TELEMETRY.count("deletion.singleton_inferences")
-        survivors = [s for s in sets if not (s & set(singles))]
-        changed = len(survivors) != len(sets)
-        sets = survivors
-    return sets, edits
-
-
-def _verify_everything(
-    sets: list[frozenset], oracle: AccountingOracle, rng: random.Random
-) -> list[Edit]:
-    """The Random baseline: verify every distinct witness fact."""
-    pool = sorted({f for s in sets for f in s}, key=repr)
-    rng.shuffle(pool)
-    edits: list[Edit] = []
-    remaining = list(sets)
-    for fact in pool:
-        if oracle.verify_fact(fact):
-            remaining = [s - {fact} for s in remaining]
-        else:
-            edits.append(delete(fact))
-            remaining = [s for s in remaining if fact not in s]
-    # Any set still present had every member verified true — the witness
-    # cannot be destroyed (possible only with a lying crowd).
-    if remaining:
-        raise DeletionError("witnesses survived full verification")
-    return edits
+            return sets, inferred
+        inferred += singles
+        _TELEMETRY.count("deletion.singleton_inferences", len(singles))
+        sets = [s for s in sets if not (s & set(singles))]
 
 
 # String-name resolution (QOCOConfig(deletion="qoco"), the experiment

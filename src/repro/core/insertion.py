@@ -25,6 +25,7 @@ from ..query.evaluator import Answer, Assignment, Evaluator, atom_pattern, witne
 from ..query.subquery import embed_answer, ground_atoms
 from ..telemetry import TELEMETRY as _TELEMETRY
 from .split import ProvenanceSplit, SplitStrategy
+from .tasks import Task, drive
 
 
 class InsertionError(RuntimeError):
@@ -74,59 +75,89 @@ def crowd_add_missing_answer(
 
     with tel.span("insertion.add_answer", split=split.__class__.__name__):
         tel.count("insertion.invocations")
-        embedded = embed_answer(query, answer)
-        edits: list[Edit] = []
-        if present is None:
-            present = lambda: _answer_present(embedded, database)  # noqa: E731
+        task = insertion_task(query, database, answer, split, rng, config, present)
+        return drive(task, oracle)
 
-        # Lines 1-2: ground atoms of Q|t must hold in D_G — insert them.
-        for fact in ground_atoms(embedded):
-            if fact not in database:
-                edit = insert(fact)
-                edit.apply(database)
-                edits.append(edit)
-                tel.count("insertion.ground_inserts")
 
-        if present():
-            return edits
+def insertion_task(
+    query: Query,
+    database: Database,
+    answer: Answer,
+    split: SplitStrategy,
+    rng: random.Random,
+    config: InsertionConfig,
+    present: Optional[Callable[[], bool]] = None,
+) -> Task:
+    """Algorithm 2 for *answer*, one question per yield.
 
-        queue: deque[Query] = deque(split.split(embedded, database, rng))
-        asked: set[frozenset] = set()
-        processed = 0
+    Inserts into *database* as soon as a witness is determined, so tasks
+    running together see each other's insertions; returns the edits.
+    *present* is the loop guard (see :func:`crowd_add_missing_answer`).
+    """
+    tel = _TELEMETRY
+    embedded = embed_answer(query, answer)
+    edits: list[Edit] = []
+    if present is None:
+        present = lambda: _answer_present(embedded, database)  # noqa: E731
 
-        while queue and not present():
-            if processed >= config.max_subqueries:
-                break
-            # Most selective subquery first: the one with the fewest candidate
-            # assignments costs the fewest crowd questions to rule in or out.
-            index = min(
-                range(len(queue)),
-                key=lambda i: _candidate_count(
-                    queue[i], database, config.max_candidates_per_subquery
-                ),
-            )
-            queue.rotate(-index)
-            current = queue.popleft()
-            processed += 1
-            tel.count("insertion.subqueries_processed")
-            found = _try_subquery(
-                embedded, current, database, oracle, asked, config, edits
-            )
-            if found:
-                return edits
-            if split.can_split(current):
-                queue.extend(split.split(current, database, rng))
+    # Lines 1-2: ground atoms of Q|t must hold in D_G — insert them.
+    for fact in ground_atoms(embedded):
+        if fact not in database:
+            edit = insert(fact)
+            edit.apply(database)
+            edits.append(edit)
+            tel.count("insertion.ground_inserts")
 
-        if present():
-            return edits
-
-        # Line 18: fall back to asking for a whole witness.
-        tel.count("insertion.fallback_completions")
-        full = oracle.complete_assignment(embedded, {})
-        if full is None:
-            raise InsertionError(f"crowd provided no witness for answer {answer!r}")
-        _insert_witness(embedded, full, database, edits)
+    if present():
         return edits
+
+    queue: deque[Query] = deque(split.split(embedded, database, rng))
+    asked: set[frozenset] = set()
+    processed = 0
+    embedded_vars = embedded.variables()
+
+    while queue and not present():
+        if processed >= config.max_subqueries:
+            break
+        # Most selective subquery first: the one with the fewest candidate
+        # assignments costs the fewest crowd questions to rule in or out.
+        index = min(
+            range(len(queue)),
+            key=lambda i: _candidate_count(
+                queue[i], database, config.max_candidates_per_subquery
+            ),
+        )
+        queue.rotate(-index)
+        current = queue.popleft()
+        processed += 1
+        tel.count("insertion.subqueries_processed")
+        # Lines 6-15: present the subquery's assignments as candidates.
+        for candidate in _candidates(embedded, current, database, asked, config):
+            asked.add(frozenset(candidate.items()))
+            tel.count("insertion.candidates_presented")
+            if not (yield ("verify_candidate", embedded, candidate)):
+                continue
+            if set(candidate) >= embedded_vars:
+                # A total assignment of Q|t whose witness the crowd affirmed.
+                _insert_witness(embedded, candidate, database, edits)
+                return edits
+            completion = yield ("complete", embedded, candidate)
+            if completion is not None:
+                _insert_witness(embedded, completion, database, edits)
+                return edits
+        if split.can_split(current):
+            queue.extend(split.split(current, database, rng))
+
+    if present():
+        return edits
+
+    # Line 18: fall back to asking for a whole witness.
+    tel.count("insertion.fallback_completions")
+    full = yield ("complete", embedded, {})
+    if full is None:
+        raise InsertionError(f"crowd provided no witness for answer {answer!r}")
+    _insert_witness(embedded, full, database, edits)
+    return edits
 
 
 def _answer_present(embedded: Query, database: Database) -> bool:
@@ -144,16 +175,14 @@ def _candidate_count(subquery: Query, database: Database, cap: int) -> int:
     return count
 
 
-def _try_subquery(
+def _candidates(
     embedded: Query,
     subquery: Query,
     database: Database,
-    oracle: AccountingOracle,
     asked: set[frozenset],
     config: InsertionConfig,
-    edits: list[Edit],
-) -> bool:
-    """Lines 6-15: present the subquery's assignments as candidates.
+) -> list[Assignment]:
+    """The subquery's not-yet-asked assignments, best first.
 
     Candidates are ranked before the crowd sees them: the paper's
     premise is that ``D`` is mostly clean, so the candidate closest to a
@@ -161,12 +190,10 @@ def _try_subquery(
     it) is most likely the right one.  Ranking costs only local index
     lookups and sharply cuts crowd questions.
     """
-    evaluator = Evaluator(subquery, database)
     embedded_vars = embedded.variables()
-
     candidates: list[Assignment] = []
     seen_here: set[frozenset] = set()
-    for assignment in evaluator.assignments():
+    for assignment in Evaluator(subquery, database).assignments():
         candidate = {v: c for v, c in assignment.items() if v in embedded_vars}
         key = frozenset(candidate.items())
         if key in asked or key in seen_here:
@@ -182,21 +209,7 @@ def _try_subquery(
             repr(sorted(c.items(), key=repr)),
         )
     )
-
-    for candidate in candidates[: config.max_candidates_per_subquery]:
-        asked.add(frozenset(candidate.items()))
-        _TELEMETRY.count("insertion.candidates_presented")
-        if not oracle.verify_candidate(embedded, candidate):
-            continue
-        if set(candidate) >= embedded_vars:
-            # A total assignment of Q|t whose witness the crowd affirmed.
-            _insert_witness(embedded, candidate, database, edits)
-            return True
-        completion = oracle.complete_assignment(embedded, candidate)
-        if completion is not None:
-            _insert_witness(embedded, completion, database, edits)
-            return True
-    return False
+    return candidates[: config.max_candidates_per_subquery]
 
 
 def _near_witness_score(

@@ -42,7 +42,7 @@ from ..query.ast import Atom, Query, Var
 from ..query.evaluator import Answer, Evaluator, witness_of
 from ..query.subquery import embed_answer
 from .deletion import DeletionError
-from .insertion import InsertionConfig, InsertionError, crowd_add_missing_answer
+from .insertion import InsertionConfig, InsertionError, _answer_present, crowd_add_missing_answer
 from .split import SplitStrategy
 
 
@@ -209,10 +209,6 @@ def add_missing_answer_with_negation(
     if _try_unblock(embedded, database, oracle, edits, max_blocker_candidates):
         return edits
     raise InsertionError(f"could not add answer {answer!r} under negation")
-
-
-def _answer_present(embedded: Query, database: Database) -> bool:
-    return next(Evaluator(embedded, database).assignments(), None) is not None
 
 
 def _positive_part(embedded: Query) -> Query:

@@ -201,6 +201,9 @@ class QOCO:
         #: for the duration of :meth:`clean` when incremental mode is on).
         self._engine: Optional[IncrementalAnswers] = None
 
+    #: Telemetry span around one :meth:`clean`.
+    _span = "qoco.clean"
+
     # ------------------------------------------------------------------
     # Algorithm 3
     # ------------------------------------------------------------------
@@ -212,37 +215,39 @@ class QOCO:
 
             query = minimize(query)
         report = Report(query_name=query.name, log=self.oracle.log)
-        verified: set[Answer] = set()
-
         if self.config.use_incremental and supports_incremental(query):
             self._engine = IncrementalAnswers(
                 query, self.database, evaluator_factory=self._make_evaluator
             )
         try:
-            with _TELEMETRY.span("qoco.clean", query=query.name):
-                first_iteration = True
-                while first_iteration or (self._answers(query) - verified):
-                    if report.iterations >= self.config.max_iterations:
-                        report.converged = False
-                        break
-                    if not first_iteration:
-                        # Imperfect crowds: a wrong majority vote must not
-                        # poison the retry — re-poll rather than trust the
-                        # cached answer.
-                        self.oracle.forget()
-                    first_iteration = False
-                    report.iterations += 1
-                    report.converged = True
-                    _TELEMETRY.count("qoco.iterations")
-                    with _TELEMETRY.span("qoco.deletion_phase"):
-                        self._deletion_phase(query, verified, report)
-                    with _TELEMETRY.span("qoco.insertion_phase"):
-                        self._insertion_phase(query, verified, report)
+            with _TELEMETRY.span(self._span, query=query.name):
+                self._clean_loop(query, report)
         finally:
             if self._engine is not None:
                 self._engine.close()
                 self._engine = None
         return report
+
+    def _clean_loop(self, query: Query, report: Report) -> None:
+        verified: set[Answer] = set()
+        first_iteration = True
+        while first_iteration or (self._answers(query) - verified):
+            if report.iterations >= self.config.max_iterations:
+                report.converged = False
+                break
+            if not first_iteration:
+                # Imperfect crowds: a wrong majority vote must not
+                # poison the retry — re-poll rather than trust the
+                # cached answer.
+                self.oracle.forget()
+            first_iteration = False
+            report.iterations += 1
+            report.converged = True
+            _TELEMETRY.count("qoco.iterations")
+            with _TELEMETRY.span("qoco.deletion_phase"):
+                self._deletion_phase(query, verified, report)
+            with _TELEMETRY.span("qoco.insertion_phase"):
+                self._insertion_phase(query, verified, report)
 
     # ------------------------------------------------------------------
     # phases
@@ -254,17 +259,24 @@ class QOCO:
             return Evaluator(query, database)
         return BackendEvaluator(query, database, self.backend)
 
+    def _maintained(self, query: Query) -> Optional[IncrementalAnswers]:
+        """The engine maintaining *query*'s answers, if there is one."""
+        engine = self._engine
+        return engine if engine is not None and engine.query is query else None
+
     def _answers(self, query: Query) -> set[Answer]:
-        if self._engine is not None and self._engine.query is query:
-            return self._engine.answers()
+        engine = self._maintained(query)
+        if engine is not None:
+            return engine.answers()
         return self.backend.evaluate(query, self.database)
 
     def _answer_alive(self, query: Query, answer: Answer) -> bool:
         """Whether *answer* is still in ``Q(D)`` — a targeted membership
         check (maintained set, else a satisfiability probe of the
         answer's partial assignment), never a full re-enumeration."""
-        if self._engine is not None and self._engine.query is query:
-            return answer in self._engine
+        engine = self._maintained(query)
+        if engine is not None:
+            return answer in engine
         partial = answer_to_partial(query, answer)
         if partial is None:
             return False
@@ -273,9 +285,25 @@ class QOCO:
     def _witnesses(self, query: Query, answer: Answer) -> Optional[list[frozenset]]:
         """Maintained witness sets for *answer*, or ``None`` to let
         Algorithm 1 enumerate them itself (no engine for this query)."""
-        if self._engine is not None and self._engine.query is query:
-            return list(self._engine.witnesses(answer))
-        return None
+        engine = self._maintained(query)
+        return list(engine.witnesses(answer)) if engine is not None else None
+
+    def _present(self, query: Query, answer: Answer) -> Optional[Callable[[], bool]]:
+        """Algorithm 2's loop guard for *answer*, or ``None`` for its own.
+
+        ``Q|t(D) ≠ ∅ ⟺ t ∈ Q(D)``: with a maintained answer set the guard
+        becomes an O(1) membership probe.
+        """
+        engine = self._maintained(query)
+        return None if engine is None else lambda: answer in engine
+
+    def _choose_split(self, query: Query) -> tuple[SplitStrategy, Any]:
+        """One missing answer's split strategy, and the planner's choice
+        to report its cost to (``None`` without a planner)."""
+        if self.planner is None:
+            return self.split_strategy, None
+        choice = self.planner.choose(query)
+        return choice.strategy, choice
 
     def _deletion_phase(
         self, query: Query, verified: set[Answer], report: Report
@@ -328,21 +356,11 @@ class QOCO:
                 continue
             if missing in current:
                 continue  # the crowd named an answer we already have
-            # ``Q|t(D) ≠ ∅ ⟺ t ∈ Q(D)``: with a maintained answer set the
-            # loop guard of Algorithm 2 becomes an O(1) membership probe.
-            present = None
-            if self._engine is not None and self._engine.query is query:
-                engine = self._engine
-                present = lambda m=missing: m in engine  # noqa: E731
-            split = self.split_strategy
-            choice = None
-            if self.planner is not None:
-                choice = self.planner.choose(query)
-                split = choice.strategy
+            split, choice = self._choose_split(query)
             cost_before = self.oracle.log.total_cost
             questions_before = self.oracle.log.question_count
             try:
-                edits = crowd_add_missing_answer(
+                edits: Optional[list] = crowd_add_missing_answer(
                     query,
                     self.database,
                     missing,
@@ -350,23 +368,19 @@ class QOCO:
                     split=split,
                     rng=self.rng,
                     config=self.config.insertion,
-                    present=present,
+                    present=self._present(query, missing),
                 )
             except InsertionError:
+                edits = None
                 report.converged = False
-                if choice is not None:
-                    self.planner.observe(
-                        choice,
-                        cost=self.oracle.log.total_cost - cost_before,
-                        questions=self.oracle.log.question_count - questions_before,
-                    )
-                continue
             if choice is not None:
                 self.planner.observe(
                     choice,
                     cost=self.oracle.log.total_cost - cost_before,
                     questions=self.oracle.log.question_count - questions_before,
                 )
+            if edits is None:
+                continue
             report.edits += edits
             report.missing_answers_added.append(missing)
             verified.add(missing)

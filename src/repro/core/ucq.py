@@ -54,8 +54,11 @@ def remove_wrong_answer_union(
     feed Algorithm 1 the union of the per-disjunct witness systems.
     """
     witnesses = [frozenset(w) for w in union.witnesses(database, answer)]
+    # Algorithm 1 reads the query only for the singleton rule, which is
+    # off when any disjunct has a negated atom: hand it such a disjunct.
+    negated = [d for d in union.disjuncts if d.negated_atoms]
     return crowd_remove_wrong_answer(
-        union.disjuncts[0],
+        (negated or union.disjuncts)[0],
         database,
         answer,
         oracle,

@@ -107,3 +107,20 @@ class TestCompositeDeletion:
             EX1, fig1_dirty, ("ESP",), oracle, batch_size=3, rng=random.Random(0)
         )
         assert ("ESP",) not in evaluate(EX1, fig1_dirty)
+
+    def test_no_singleton_inference_under_negation(self):
+        from repro.core.deletion import DeletionError
+        from repro.db.database import Database
+        from repro.db.schema import Schema
+        from repro.query.parser import parse_query
+
+        # 1 is wrong only because the blocker c(1) is missing; its one
+        # witness b(1) is true and must not be inferred false
+        query = parse_query("q(x) :- b(x), not c(x).")
+        schema = Schema.from_dict({"b": ["p"], "c": ["p"]})
+        truth = Database(schema, [fact("b", 1), fact("c", 1)])
+        dirty = Database(schema, [fact("b", 1)])
+        oracle = AccountingOracle(PerfectOracle(truth))
+        with pytest.raises(DeletionError):
+            crowd_remove_wrong_answer_composite(query, dirty, (1,), oracle)
+        assert fact("b", 1) in dirty

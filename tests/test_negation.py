@@ -3,15 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qoco_strategies import CONSTANTS, databases, facts, queries
 from repro.core.negation import (
     Option,
     add_missing_answer_with_negation,
     remove_wrong_answer_with_negation,
 )
 from repro.db.database import Database
+from repro.db.edits import EditKind
 from repro.db.schema import Schema
-from repro.db.tuples import fact
+from repro.db.tuples import Fact, fact
 from repro.oracle.base import AccountingOracle
 from repro.oracle.perfect import PerfectOracle
 from repro.query.ast import QueryError, Var
@@ -242,3 +246,83 @@ class TestOption:
     def test_str(self):
         f = fact("won", "X")
         assert str(Option("delete", f)) == "won(X)-"
+
+
+@st.composite
+def blocked_instances(draw):
+    """A negated query; a truth holding witnesses of its positive body,
+    some of them blocked; and the truth with random facts dropped."""
+    query = draw(queries(negation=True, min_negated=1))
+    truth = draw(databases(max_size=8))
+    body_vars = set().union(*(atom.variables() for atom in query.atoms))
+    for _ in range(draw(st.integers(1, 3))):
+        assignment = {v: draw(st.sampled_from(CONSTANTS)) for v in sorted(body_vars, key=str)}
+        blockers = [atom for atom in query.negated_atoms if draw(st.booleans())]
+        for atom in list(query.atoms) + blockers:
+            wildcards = {
+                v: draw(st.sampled_from(CONSTANTS))
+                for v in sorted(atom.variables() - body_vars, key=str)
+            }
+            ground = atom.substitute({**assignment, **wildcards})
+            truth.insert(Fact(ground.relation, tuple(ground.terms)))
+    dirty = truth.copy()
+    for dropped in draw(st.sets(st.sampled_from(sorted(truth, key=repr)))):
+        dirty.delete(dropped)
+    return query, truth, dirty
+
+
+class TestCleaningLoopsKeepTrueFacts:
+    """Theorem 4.5's singleton rule is off for negated queries: a wrong
+    answer may only lack a blocker, so the last unverified fact of a
+    witness can be true."""
+
+    NEARLY = parse_query(
+        'nearly(x) :- games(d, y, x, "Final", r), not champions(x).'
+    )
+
+    @staticmethod
+    def with_champions(db):
+        # figure 1 plus champions(team) for every final's winner
+        from repro.db.schema import RelationSchema
+
+        db.schema.add(RelationSchema("champions", ("team",)))
+        extended = Database(db.schema, db)
+        for game in extended.facts("games"):
+            if game.values[3] == "Final":
+                extended.insert(fact("champions", game.values[1]))
+        return extended
+
+    @pytest.mark.parametrize("loop", ["naive", "columnar", "parallel"])
+    def test_figure1_finalists_who_never_won(self, loop):
+        from repro.api import clean
+        from repro.core.parallel import ParallelQOCO
+        from repro.datasets import figure1_dirty, figure1_ground_truth
+
+        truth = self.with_champions(figure1_ground_truth())
+        dirty = self.with_champions(figure1_dirty())
+        true_games = [g for g in dirty.facts("games") if g in truth]
+        oracle = AccountingOracle(PerfectOracle(truth))
+        if loop == "parallel":
+            report = ParallelQOCO(dirty, oracle, seed=0).clean(self.NEARLY)
+        else:
+            report = clean(dirty, self.NEARLY, oracle, backend=loop, seed=0)
+        # every witness of a wrong answer is true here: the answers stay
+        # until a blocker can be inserted, and no true game is deleted
+        assert all(g in dirty for g in true_games)
+        assert report.edits == []
+        assert not report.converged
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=blocked_instances(), inserts=st.lists(facts(), max_size=4))
+    def test_no_loop_deletes_a_true_fact(self, instance, inserts):
+        from repro.core.parallel import ParallelQOCO
+        from repro.core.qoco import QOCO
+
+        query, truth, dirty = instance
+        for extra in inserts:
+            dirty.insert(extra)
+        for loop in (QOCO, ParallelQOCO):
+            oracle = AccountingOracle(PerfectOracle(truth))
+            report = loop(dirty.copy(), oracle, seed=0).clean(query)
+            deleted = [e.fact for e in report.edits if e.kind is EditKind.DELETE]
+            assert not [f for f in deleted if f in truth], loop.__name__

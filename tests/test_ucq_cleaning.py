@@ -54,6 +54,22 @@ class TestUnionDeletion:
         for edit in edits:
             assert edit.fact not in fig1_gt
 
+    def test_no_singleton_inference_when_a_disjunct_negates(self):
+        from repro.core.deletion import DeletionError
+        from repro.db.database import Database
+        from repro.db.schema import Schema
+
+        # 1 is wrong only because the blocker c(1) is missing; its one
+        # witness b(1) is true and must not be inferred false
+        union = parse_union("q(x) :- a(x).\nq(x) :- b(x), not c(x).")
+        schema = Schema.from_dict({"a": ["p"], "b": ["p"], "c": ["p"]})
+        truth = Database(schema, [fact("b", 1), fact("c", 1)])
+        dirty = Database(schema, [fact("b", 1)])
+        oracle = AccountingOracle(PerfectOracle(truth))
+        with pytest.raises(DeletionError):
+            remove_wrong_answer_union(union, dirty, (1,), oracle)
+        assert fact("b", 1) in dirty
+
 
 class TestUnionInsertion:
     def test_missing_answer_added_via_right_disjunct(self, fig1_dirty, fig1_gt, oracle):
