@@ -4,11 +4,17 @@ Following Section 2 of the paper we refer to a tuple ``t`` of a relation
 ``R`` and the fact ``R(t)`` interchangeably; :class:`Fact` bundles the
 relation name with the value vector and is hashable so that databases,
 witness sets and hitting sets can all be plain Python sets.
+
+A fact is hashed in every set and dict it passes through, so it hashes
+once, at construction, and keeps the value.  That value is the usual
+``hash((relation, values))``, which Python salts per process for strings;
+a fact therefore pickles as ``(relation, values)`` and the loading
+process computes its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 #: The constants we allow inside facts.  Everything is compared by equality,
@@ -18,16 +24,26 @@ Constant = str | int | float
 _ARG_SEPARATOR = ", "
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Fact:
     """A ground atom ``relation(values...)``."""
 
     relation: str
     values: tuple[Constant, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "_hash", hash((self.relation, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # never ship the cached hash: another process salts str hashes
+        # differently, so the loader recomputes it
+        return (Fact, (self.relation, self.values))
 
     @property
     def arity(self) -> int:

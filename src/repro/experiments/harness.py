@@ -32,7 +32,7 @@ from ..oracle.base import AccountingOracle, Oracle
 from ..oracle.perfect import PerfectOracle
 from ..oracle.questions import QuestionKind
 from ..query.ast import Query
-from ..query.evaluator import Answer, Evaluator
+from ..query.evaluator import Answer, Evaluator, answer_to_partial
 from ..query.subquery import embed_answer, unique_variables
 
 
@@ -112,7 +112,7 @@ def run_deletion(
     upper = deletion_upper_bound(query, dirty, errors.wrong_answers)
 
     for answer in sorted(Evaluator(query, dirty).answers(), key=repr):
-        if answer not in Evaluator(query, dirty).answers():
+        if not Evaluator(query, dirty).is_satisfiable(answer_to_partial(query, answer)):
             continue  # collateral removal by an earlier deletion
         if accounting.verify_answer(query, answer):
             continue

@@ -9,11 +9,13 @@ counting-based incremental view maintenance:
 
 * **positive delta** — a fact ``f`` touching a body relation gains (on
   insert) or loses (on delete) exactly the valid assignments whose
-  witness uses ``f``.  These are enumerated by binding ``f`` to each
-  occurrence of its relation in the body and running the index-backed
-  evaluator on the residual join, deduplicating across occurrences.
-  Insert deltas are enumerated *after* the fact lands, delete deltas
-  *before* it leaves (the lost assignments must still be enumerable).
+  witness uses ``f``.  An insert enumerates them *after* the fact lands,
+  by binding ``f`` to each occurrence of its relation in the body and
+  running the index-backed evaluator on the residual join,
+  deduplicating across occurrences.  A delete runs no join: an index
+  from each fact to the witnesses holding it names the lost witnesses,
+  and each leaves whole, taking its assignment count from its answer's
+  support.
 
 * **negation delta** — a fact ``f`` touching a negated atom's relation
   can *revoke* answers (inserting ``f`` makes ``not R(ū)`` fail for
@@ -168,6 +170,8 @@ class IncrementalAnswers(DatabaseListener):
         self._support: Counter = Counter()
         #: answer -> witness -> number of assignments grounding to it
         self._witness_support: dict[Answer, Counter] = {}
+        #: fact -> the (answer, witness) entries whose witness holds it
+        self._by_fact: dict[Fact, set[tuple[Answer, Witness]]] = {}
         self._version = -1
         self._pending: list[Assignment] = []
         self._subscribed = False
@@ -222,10 +226,10 @@ class IncrementalAnswers(DatabaseListener):
     def refresh(self) -> None:
         """Full recomputation (construction, fallback, manual resync).
 
-        One :class:`~repro.query.backend.EvalResult` fills both counters:
-        a backend evaluator's ``run()`` (the columnar engine decodes it
-        from row provenance), or the fold of the reference evaluator's
-        assignments.
+        One :class:`~repro.query.backend.EvalResult` fills both counters
+        and the fact index: a backend evaluator's ``run()`` (the columnar
+        engine decodes it from row provenance), or the fold of the
+        reference evaluator's assignments.
         """
         _TELEMETRY.count("incremental.full_recompute")
         evaluator = self._evaluator
@@ -235,6 +239,17 @@ class IncrementalAnswers(DatabaseListener):
             result = EvalResult.from_assignments(self.query, evaluator.assignments())
         self._support = result.support
         self._witness_support = result.witness_support
+        by_fact: dict[Fact, set[tuple[Answer, Witness]]] = {}
+        for answer, counter in result.witness_support.items():
+            for witness in counter:
+                entry = (answer, witness)
+                for f in witness:
+                    entries = by_fact.get(f)
+                    if entries is None:
+                        by_fact[f] = {entry}
+                    else:
+                        entries.add(entry)
+        self._by_fact = by_fact
         self._version = self.database.version
         self._pending = []
 
@@ -253,20 +268,16 @@ class IncrementalAnswers(DatabaseListener):
 
     # -- DatabaseListener ----------------------------------------------
     def before_change(self, database: Database, edit: Edit) -> None:
+        # Only an insert enumerates beforehand: the valid assignments the
+        # new fact will revoke by matching a negated atom.  A delete reads
+        # its losses from the fact index after the change.
+        self._pending = []
         if (
-            self._version != database.version
-            or edit.fact.relation not in self._relevant
+            edit.kind is EditKind.INSERT
+            and self._version == database.version
+            and edit.fact.relation in self._relevant
         ):
-            self._pending = []
-            return
-        if edit.kind is EditKind.INSERT:
-            # Assignments valid now that the new fact will revoke by
-            # matching a negated atom.
             self._pending = self._negation_affected(edit.fact)
-        else:
-            # Assignments whose witness uses the doomed fact — they must
-            # be enumerated while the fact is still present.
-            self._pending = assignments_using_fact(self._evaluator, edit.fact)
 
     def after_change(self, database: Database, edit: Edit) -> None:
         if self._version != database.version - 1:
@@ -274,22 +285,24 @@ class IncrementalAnswers(DatabaseListener):
         self._version = database.version
         if edit.fact.relation not in self._relevant:
             return
-        lost, self._pending = self._pending, []
+        touched: set[Answer] = set()
+        revoked, self._pending = self._pending, []
         if edit.kind is EditKind.INSERT:
+            for assignment in revoked:
+                self._retract(assignment, touched)
+            lost = len(revoked)
             gained = assignments_using_fact(self._evaluator, edit.fact)
         else:
+            lost = self._drop_witnesses_of(edit.fact, touched)
             # Assignments valid now that only the deleted fact blocked.
             gained = self._negation_affected(edit.fact)
-        touched: set[Answer] = set()
-        for assignment in lost:
-            self._retract(assignment, touched)
         for assignment in gained:
             self._admit(assignment, touched)
         tel = _TELEMETRY
         if tel.enabled:
             tel.count("incremental.delta_applied")
             tel.count("incremental.answers_touched", len(touched))
-            tel.observe("incremental.delta_assignments", len(lost) + len(gained))
+            tel.observe("incremental.delta_assignments", lost + len(gained))
 
     # -- internals ------------------------------------------------------
     def _ensure_current(self) -> None:
@@ -316,13 +329,55 @@ class IncrementalAnswers(DatabaseListener):
                 result.append(assignment)
         return result
 
-    def _admit(self, assignment: Assignment, touched: Optional[set] = None) -> None:
+    def _drop_witnesses_of(self, fact: Fact, touched: set) -> int:
+        """Retract every valid assignment whose witness holds the deleted
+        *fact*; returns how many there were.
+
+        Each such assignment grounds to an indexed witness containing
+        *fact*, and each witness's count is the number of assignments
+        grounding to it, so dropping the indexed witnesses whole is the
+        retraction a join pinned to *fact* would enumerate.
+        """
+        entries = self._by_fact.pop(fact, None)
+        if not entries:
+            return 0
+        lost = 0
+        for entry in entries:
+            answer, witness = entry
+            counter = self._witness_support[answer]
+            count = counter.pop(witness)
+            if not counter:
+                del self._witness_support[answer]
+            remaining = self._support[answer] - count
+            if remaining > 0:
+                self._support[answer] = remaining
+            else:
+                del self._support[answer]
+            self._unindex(entry)
+            touched.add(answer)
+            lost += count
+        return lost
+
+    def _unindex(self, entry: tuple[Answer, Witness]) -> None:
+        by_fact = self._by_fact
+        for f in entry[1]:
+            entries = by_fact.get(f)
+            if entries is not None:
+                entries.discard(entry)
+                if not entries:
+                    del by_fact[f]
+
+    def _admit(self, assignment: Assignment, touched: set) -> None:
         answer = instantiate_head(self.query, assignment)
         witness = witness_of(self.query, assignment)
         self._support[answer] += 1
-        self._witness_support.setdefault(answer, Counter())[witness] += 1
-        if touched is not None:
-            touched.add(answer)
+        counter = self._witness_support.setdefault(answer, Counter())
+        if witness not in counter:
+            entry = (answer, witness)
+            for f in witness:
+                self._by_fact.setdefault(f, set()).add(entry)
+        counter[witness] += 1
+        touched.add(answer)
 
     def _retract(self, assignment: Assignment, touched: set) -> None:
         answer = instantiate_head(self.query, assignment)
@@ -335,6 +390,7 @@ class IncrementalAnswers(DatabaseListener):
         if counter is not None:
             if counter.get(witness, 0) <= 1:
                 counter.pop(witness, None)
+                self._unindex((answer, witness))
             else:
                 counter[witness] -= 1
             if not counter:

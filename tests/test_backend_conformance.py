@@ -15,7 +15,8 @@ whatever engine computed them.  This suite pins that contract four ways:
 3. **Edit-replay conformance** — randomized insert/delete sequences
    replayed through :class:`IncrementalAnswers` with each backend as the
    ``evaluator_factory``; after every edit the maintained view must
-   equal a from-scratch reference evaluation.
+   equal a from-scratch reference evaluation, and its fact index must
+   equal one rebuilt from its witness multiset.
 4. **Metamorphic properties** — row-order shuffling, column permutation
    under renamed schemas, and duplicate-fact idempotence leave every
    backend's ``EvalResult`` unchanged.
@@ -28,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qoco_strategies import SCHEMA, databases, facts, queries
+from test_incremental import assert_fact_index_exact
 from repro.datasets.dbgroup import DBGroupConfig, dbgroup_database
 from repro.datasets.figure1 import figure1_dirty
 from repro.datasets.worldcup import WorldCupConfig, worldcup_database
@@ -198,6 +200,7 @@ class TestEditReplayConformance:
                     view.witness_count(answer)
                     == len(reference.witness_support[answer])
                 )
+            assert_fact_index_exact(view)
         view.close()
 
     @CONFORMANCE_SETTINGS
@@ -223,6 +226,7 @@ class TestEditReplayConformance:
             assert sorted(view.witnesses(answer), key=repr) == sorted(
                 reference.witness_support[answer], key=repr
             )
+        assert_fact_index_exact(view)
         view.close()
 
 

@@ -18,6 +18,7 @@ Four layers of checks:
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +28,7 @@ from qoco_strategies import databases, facts, queries
 from repro.core.parallel import ParallelQOCO
 from repro.core.qoco import QOCO, QOCOConfig
 from repro.db.database import Database
+from repro.db.edits import EditKind
 from repro.db.schema import RelationSchema, Schema
 from repro.db.tuples import Fact, fact
 from repro.oracle.base import AccountingOracle
@@ -65,6 +67,19 @@ def scratch_state(query: Query, database: Database):
     return answers, support, witnesses
 
 
+def assert_fact_index_exact(engine: IncrementalAnswers):
+    """The engine's fact index equals one rebuilt from its witness
+    multiset: every live witness is indexed under each of its facts, and
+    nothing else is (no entry, empty or not, for a fact that no live
+    witness holds)."""
+    rebuilt: dict = {}
+    for answer, counter in engine._witness_support.items():
+        for witness in counter:
+            for f in witness:
+                rebuilt.setdefault(f, set()).add((answer, witness))
+    assert engine._by_fact == rebuilt
+
+
 def assert_engine_matches_scratch(engine: IncrementalAnswers, query, database):
     answers, support, witnesses = scratch_state(query, database)
     assert engine.answers() == answers
@@ -74,6 +89,7 @@ def assert_engine_matches_scratch(engine: IncrementalAnswers, query, database):
         assert engine.support(answer) == support[answer]
         assert set(engine.witnesses(answer)) == witnesses[answer]
         assert engine.witness_count(answer) == len(witnesses[answer])
+    assert_fact_index_exact(engine)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +218,115 @@ class TestNegationDeltas:
         assert engine.answers() == set()
         db.delete(Fact("r", ("c",)))
         assert engine.answers() == {("a",)}
+
+
+class TestDeleteDropsIndexedWitnesses:
+    """A delete reads its lost witnesses from the fact index; these are
+    the shapes a random draw rarely reaches."""
+
+    SCHEMA = Schema([RelationSchema("r", ("p", "q"))])
+
+    def test_fact_matching_two_atoms_of_one_assignment(self):
+        # q(x) :- r(x, y), r(x, z): r(a, b) grounds both atoms of the
+        # assignment y = z = b, and one of two atoms of y = b, z = c and
+        # of y = c, z = b, which share the witness {r(a, b), r(a, c)}.
+        query = Query(
+            head=(Var("x"),),
+            atoms=(
+                Atom("r", (Var("x"), Var("y"))),
+                Atom("r", (Var("x"), Var("z"))),
+            ),
+            name="selfjoin",
+        )
+        db = Database(self.SCHEMA, [Fact("r", ("a", "b")), Fact("r", ("a", "c"))])
+        engine = IncrementalAnswers(query, db)
+        assert engine.support(("a",)) == 4
+        with telemetry_session() as (hub, _):
+            db.delete(Fact("r", ("a", "b")))
+            # the three lost assignments count with their multiplicity
+            assert hub.histogram("incremental.delta_assignments").total == 3
+        assert engine.support(("a",)) == 1
+        assert engine.witnesses(("a",)) == [frozenset({Fact("r", ("a", "c"))})]
+        assert_engine_matches_scratch(engine, query, db)
+
+    def test_witness_shared_by_two_answers(self):
+        # q(x) :- r(x, y), r(y, x): {r(a, b), r(b, a)} witnesses both a
+        # and b, so deleting either fact removes both answers.
+        query = Query(
+            head=(Var("x"),),
+            atoms=(
+                Atom("r", (Var("x"), Var("y"))),
+                Atom("r", (Var("y"), Var("x"))),
+            ),
+            name="swap",
+        )
+        db = Database(
+            self.SCHEMA,
+            [Fact("r", ("a", "b")), Fact("r", ("b", "a")), Fact("r", ("c", "c"))],
+        )
+        engine = IncrementalAnswers(query, db)
+        shared = frozenset({Fact("r", ("a", "b")), Fact("r", ("b", "a"))})
+        assert engine.witnesses(("a",)) == engine.witnesses(("b",)) == [shared]
+        assert_fact_index_exact(engine)
+        db.delete(Fact("r", ("a", "b")))
+        assert engine.answers() == {("c",)}
+        assert Fact("r", ("b", "a")) not in engine._by_fact
+        assert_engine_matches_scratch(engine, query, db)
+
+    def test_delete_kills_and_restores_at_once(self):
+        # q(x) :- r(x, y), not r(y, l): r(b, c) is the witness of b and
+        # the only blocker of a; deleting it swaps the two answers.
+        query = Query(
+            head=(Var("x"),),
+            atoms=(Atom("r", (Var("x"), Var("y"))),),
+            negated_atoms=(Atom("r", (Var("y"), Var("l"))),),
+            name="killrestore",
+        )
+        db = Database(self.SCHEMA, [Fact("r", ("a", "b")), Fact("r", ("b", "c"))])
+        engine = IncrementalAnswers(query, db)
+        assert engine.answers() == {("b",)}
+        db.delete(Fact("r", ("b", "c")))
+        assert engine.answers() == {("a",)}
+        assert engine.witnesses(("a",)) == [frozenset({Fact("r", ("a", "b"))})]
+        assert_engine_matches_scratch(engine, query, db)
+
+    def test_columnar_clean_of_deletions_joins_once(self, monkeypatch):
+        # Q3 over one worldcup replica with two fake champions: the engine
+        # is built by one run(), and every delete reads the fact index
+        # instead of enumerating assignments.
+        from repro.datasets.worldcup import (
+            WorldCupConfig,
+            inject_fake_champions,
+            worldcup_database,
+            worldcup_years,
+        )
+        from repro.query import backend as backend_module
+        from repro.query.columnar import ColumnarBackend
+        from repro.workloads import Q3
+
+        calls = Counter()
+
+        class CountingColumnar(ColumnarBackend):
+            def run(self, query, database):
+                calls["run"] += 1
+                return super().run(query, database)
+
+            def assignments(self, query, database, partial=None):
+                calls["assignments"] += 1
+                return super().assignments(query, database, partial)
+
+        monkeypatch.setattr(backend_module, "_REGISTRY", dict(backend_module._REGISTRY))
+        backend_module.register_backend("columnar", CountingColumnar)
+        config = WorldCupConfig(seed=3, replicas=1)
+        truth = worldcup_database(config)
+        dirty = truth.copy()
+        inject_fake_champions(dirty, worldcup_years(config)[:2])
+        oracle = AccountingOracle(PerfectOracle(truth))
+        report = QOCO(dirty, oracle, QOCOConfig(backend="columnar")).clean(Q3)
+        assert report.converged and len(report.wrong_answers_removed) == 2
+        assert {e.kind for e in report.edits} == {EditKind.DELETE}
+        assert calls == Counter(run=1)
+        assert evaluate(Q3, dirty) == evaluate(Q3, truth)
 
 
 class TestNegationBinding:
